@@ -11,8 +11,7 @@ import pathlib
 import numpy as np
 
 from chebspline import (eval_spline_derivative, insert_knot, load_object,
-                        refine_gc_space, sample_basis, sample_spline,
-                        svg_curve_plot, write_svg)
+                        sample_basis, sample_spline, svg_curve_plot, write_svg)
 
 HERE = pathlib.Path(__file__).parent
 OUT = HERE / "out"
@@ -42,7 +41,7 @@ step, refined = insert_knot(curve.space, curve, 0.8)
 print(f"insert at 0.8: dim {curve.space.dim} -> {step.space.dim}")
 
 # raising the multiplicity at a matrix location spends its derivative rows
-shrunk = refine_gc_space(curve.space, 1.0)
+shrunk = insert_knot(curve.space, curve, 1.0)[0].space
 gi = int(np.flatnonzero(np.isclose(curve.space.partition.grid, 1.0))[0])
 gj = int(np.flatnonzero(np.isclose(shrunk.partition.grid, 1.0))[0])
 print(f"matrix at 1.0: {curve.space.connections[gi].shape} -> "

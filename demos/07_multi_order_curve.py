@@ -10,8 +10,8 @@ from math import cos, pi, sin
 
 import numpy as np
 
-from chebspline import (load_object, sample_multiorder_basis,
-                        svg_curve_plot, svg_function_plot, write_svg)
+from chebspline import (load_object, sample_basis, svg_curve_plot,
+                        svg_function_plot, write_svg)
 
 HERE = pathlib.Path(__file__).parent
 OUT = HERE / "out"
@@ -23,7 +23,7 @@ print(f"section orders {orders}, dimension {len(mo.t_knots)}")
 print(f"t-knots {np.asarray(mo.t_knots)}")
 
 xs = np.linspace(mo.sections[0].interval[0], mo.sections[-1].interval[1], 800)
-vals = sample_multiorder_basis(mo, xs)
+vals = sample_basis(mo, xs)
 print(f"unity defect {np.max(np.abs(vals.sum(axis=1) - 1)):.2e}")
 write_svg(OUT / "multiorder_basis.svg", svg_function_plot(xs, list(vals.T)))
 

@@ -20,9 +20,8 @@ from .descriptors import (descriptor_for, load_descriptor, load_object,
 from .errors import (ChebsplineError, ConnectionMatrixError, DescriptorError,
                      InvalidSectionError, KnotRemovalError, PartitionError,
                      RefinementError, SingularSystemError)
-from .extensions import (MultiOrderSpace, QECProfile, build_gc_transition_table,
-                         build_multiorder_space, detect_vanishing_order,
-                         eval_multiorder_bspline, qec_profile, refine_gc_space,
+from .extensions import (MultiOrderSpace, QECProfile, build_multiorder_space,
+                         detect_vanishing_order, qec_profile,
                          sample_multiorder_basis)
 from .output import (csv_text, curvature_comb, svg_curve_plot,
                      svg_function_plot, write_csv, write_svg)

@@ -7,12 +7,14 @@ integrals all come from one representation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PartitionError
-from .partition import ExtendedPartition, build_extended_partition
+from .partition import (ExtendedPartition, _interval_index,
+                        build_extended_partition)
 from .sections import ECSection
 from .transition import TransitionTable, build_transition_table
 
@@ -63,7 +65,8 @@ def make_spline_space(partition: ExtendedPartition, sections: list[ECSection],
     """Assemble and validate a spline space.
 
     connections may be a dict {grid index: matrix} or a sequence of
-    (location, matrix) pairs; locations must be interior grid points.
+    (location, matrix) pairs; either way they must attach to interior
+    break points.
     """
     if len(sections) != partition.num_sections:
         raise PartitionError(
@@ -80,20 +83,18 @@ def make_spline_space(partition: ExtendedPartition, sections: list[ECSection],
             raise PartitionError(
                 f"section {j} has order {sec.order}, expected {partition.order}")
     conn: dict[int, np.ndarray] = {}
-    if connections:
-        items = connections.items() if isinstance(connections, dict) else connections
-        for key, M in items:
-            if isinstance(key, (int, np.integer)) and not isinstance(key, bool) \
-                    and 0 < key < len(grid) - 1 and float(key) not in grid:
-                g = int(key)
-            else:
-                hits = np.nonzero(np.isclose(grid, float(key), rtol=0, atol=1e-12))[0]
-                if len(hits) != 1:
-                    raise PartitionError(f"connection location {key} is not a grid point")
-                g = int(hits[0])
-            if not 0 < g < len(grid) - 1:
-                raise PartitionError("connection matrices attach to interior break points")
-            conn[g] = np.asarray(M, dtype=float)
+    if isinstance(connections, dict):
+        conn = {operator.index(g): M for g, M in connections.items()}
+    else:
+        for at, M in connections or ():
+            hits = np.nonzero(np.isclose(grid, float(at), rtol=0, atol=1e-12))[0]
+            if len(hits) != 1:
+                raise PartitionError(f"connection location {at} is not a grid point")
+            conn[int(hits[0])] = M
+    for g, M in conn.items():
+        if not 0 < g < len(grid) - 1:
+            raise PartitionError("connection matrices attach to interior break points")
+        conn[g] = np.asarray(M, dtype=float)
     return SplineSpace(partition, sections, conn, residual_tol)
 
 
@@ -150,25 +151,29 @@ def eval_bspline(space: SplineSpace, i: int, x: float, r: int = 0,
     """D^r N_i(x) = D^r f_i(x) - D^r f_{i+1}(x)."""
     if not 1 <= i <= space.dim:
         raise PartitionError(f"basis index {i} out of range 1..{space.dim}")
-    table = space.table
-    return table.eval(i, x, r, side) - table.eval(i + 1, x, r, side)
+    lo, vals = eval_nonzero_basis(space, x, r, side)
+    k = i - lo
+    return float(vals[k]) if 0 <= k < len(vals) else 0.0
 
 
 def eval_nonzero_basis(space: SplineSpace, x: float, r: int = 0,
                        side: str = "right") -> tuple[int, np.ndarray]:
-    """All m possibly nonzero D^r N_i at x; returns (first index l-m+1, values)."""
-    part = space.partition
-    m = part.order
-    ell = part.locate(x, side)
+    """All possibly nonzero D^r N_i at x; returns (first index, values).
+
+    These are the basis functions alive on the grid interval holding x, m
+    of them on a section of order m.  side picks the interval when x sits
+    on a break point; at a and b the interval inside [a, b] is read
+    whatever side says.
+    """
     table = space.table
-    f = [table.eval(i, x, r, side) for i in range(ell - m + 1, ell + 2)]
-    vals = np.array([f[k] - f[k + 1] for k in range(m)])
-    return ell - m + 1, vals
+    j = _interval_index(table.grid, x, side, space.a, space.b)
+    lo, P = table._block(j)
+    V = _row_values(P, table.sections[j].eval_all(r, x)[:, None])
+    return lo - 1, _differences(V, 1.0 if r == 0 else 0.0)[:, 0]
 
 
 def eval_spline(spline: Spline, x: float, side: str = "right") -> np.ndarray:
-    lo, vals = eval_nonzero_basis(spline.space, x, 0, side)
-    return vals @ spline.coefficients[lo - 1:lo - 1 + len(vals)]
+    return eval_spline_derivative(spline, 0, x, side)
 
 
 def eval_spline_derivative(spline: Spline, r: int, x: float,
@@ -209,27 +214,63 @@ def eval_surface(surface: TensorSurface, u: float, v: float) -> np.ndarray:
     return np.einsum("i,j,ijd->d", nu, nv, block)
 
 
+def _row_values(P: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Rows P applied to the generator values U (m x points), one BLAS dot
+    product per row and point.  A matrix product P @ U rounds differently
+    (fused multiply-adds in another order), which on ill-conditioned rows
+    moves values by up to cond * eps; the scalar and batched evaluators
+    round alike."""
+    return np.vecdot(P[:, None, :], np.ascontiguousarray(U.T))
+
+
+def _differences(V: np.ndarray, head: float = 1.0) -> np.ndarray:
+    """N_{lo-1}, .., N_{lo-1+len(V)} from the values V of the rows f_lo, ..
+    alive on an interval: the rows before them read head (1, or 0 for a
+    derivative) and the rows after them 0."""
+    pad = np.zeros((1, V.shape[1]))
+    F = np.concatenate([pad + head, V, pad])
+    return F[:-1] - F[1:]
+
+
+def _sample_rows(space, xs: np.ndarray):
+    """The batched evaluator: one lookup groups the points by grid interval
+    (with the end-point rule of eval_nonzero_basis); per interval it yields
+    (point indices, lo, values of the rows f_lo, .. alive there)."""
+    table = space.table
+    js = _interval_index(table.grid, xs, "right", space.a, space.b)
+    order = np.argsort(js, kind="stable")
+    found, starts = np.unique(js[order], return_index=True)
+    for j, idx in zip(found, np.split(order, starts[1:])):
+        lo, P = table._block(j)
+        yield idx, lo, _row_values(P, table.sections[j].eval_all(0, xs[idx]))
+
+
 def sample_basis(space: SplineSpace, xs) -> np.ndarray:
-    """Matrix of all basis values at the sample points (len(xs) x dim)."""
+    """Matrix of all basis values at the sample points (len(xs) x dim).
+
+    Takes single-order and multi-order spaces.
+    """
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((len(xs), space.dim))
-    for k, x in enumerate(xs):
-        lo, vals = eval_nonzero_basis(space, float(x))
-        out[k, lo - 1:lo - 1 + len(vals)] = vals
+    for idx, lo, V in _sample_rows(space, xs):
+        out[idx, lo - 2:lo - 1 + len(V)] = _differences(V).T
     return out
 
 
 def sample_transitions(space: SplineSpace, xs) -> np.ndarray:
     """Matrix of inner transition values f_2..f_dim at the sample points."""
     xs = np.asarray(xs, dtype=float)
-    table = space.table
     out = np.zeros((len(xs), space.dim - 1))
-    for k, x in enumerate(xs):
-        for i in range(2, space.dim + 1):
-            out[k, i - 2] = table.eval(i, float(x))
+    for idx, lo, V in _sample_rows(space, xs):
+        out[idx, :lo - 2] = 1.0
+        out[idx, lo - 2:lo - 2 + len(V)] = V.T
     return out
 
 
 def sample_spline(spline: Spline, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
-    return np.array([eval_spline(spline, float(x)) for x in xs])
+    c = spline.coefficients
+    out = np.zeros((len(xs), spline.dim_target))
+    for idx, lo, V in _sample_rows(spline.space, xs):
+        out[idx] = _differences(V).T @ c[lo - 2:lo - 1 + len(V)]
+    return out

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import descriptors as dsc
 from .basis import (Spline, SplineSpace, TensorSurface,
-                    eval_spline_derivative, eval_surface, sample_basis,
-                    sample_spline, sample_transitions)
+                    eval_spline_derivative, sample_basis, sample_spline,
+                    sample_transitions)
 from .errors import ChebsplineError, DescriptorError
-from .extensions import MultiOrderSpace, sample_multiorder_basis
+from .extensions import MultiOrderSpace
 from .output import (curvature_comb, svg_curve_plot, svg_function_plot,
                      write_csv, write_svg)
 from .partition import build_extended_partition
@@ -92,22 +92,12 @@ def _basis_data(obj, samples: int):
     """(xs, basis matrix, transition matrix, transition labels)."""
     if isinstance(obj, Spline):
         obj = obj.space
-    if isinstance(obj, SplineSpace):
-        xs = np.linspace(obj.a, obj.b, samples)
-        vals = sample_basis(obj, xs)
-        trans = sample_transitions(obj, xs)
-        labels = [f"f_{i}" for i in range(2, obj.dim + 1)]
-        return xs, vals, trans, labels
-    if isinstance(obj, MultiOrderSpace):
-        xs = np.linspace(obj.a, obj.b, samples)
-        vals = sample_multiorder_basis(obj, xs)
-        table = obj.table
-        trans = np.array([[table.eval(i, float(x))
-                           for i in range(2, obj.dim + 1)] for x in xs])
-        labels = [f"f_{i}" for i in range(2, obj.dim + 1)]
-        return xs, vals, trans, labels
-    raise DescriptorError("basis needs a space, spline or multiorder-space "
-                          f"descriptor, not {type(obj).__name__}")
+    if not isinstance(obj, (SplineSpace, MultiOrderSpace)):
+        raise DescriptorError("basis needs a space, spline or multiorder-space "
+                              f"descriptor, not {type(obj).__name__}")
+    xs = np.linspace(obj.a, obj.b, samples)
+    labels = [f"f_{i}" for i in range(2, obj.dim + 1)]
+    return xs, sample_basis(obj, xs), sample_transitions(obj, xs), labels
 
 
 def _write_basis(xs, vals, output_path: str, fmt: str) -> str:
@@ -302,21 +292,23 @@ def surface_cmd(input_path, output_path, samples, fmt, isolines):
     vs = np.linspace(surf.v_space.a, surf.v_space.b, samples)
     out = _artifact(output_path, fmt)
     d = surf.net.shape[2]
+
+    def grid(us, vs):
+        """Surface values on us x vs: two basis matrices and one einsum."""
+        return np.einsum("ui,vj,ijd->uvd", sample_basis(surf.u_space, us),
+                         sample_basis(surf.v_space, vs), surf.net,
+                         optimize=True)
+
     if fmt == "csv":
-        rows = np.array([eval_surface(surf, float(u), float(v))
-                         for u in us for v in vs])
+        rows = grid(us, vs).reshape(-1, d)
         uu = np.repeat(us, len(vs))
         vv = np.tile(vs, len(us))
         write_csv(out, ["u", "v"] + _coord_names(d),
                   [uu, vv] + [rows[:, j] for j in range(d)])
     else:
-        curves = []
-        for u in np.linspace(surf.u_space.a, surf.u_space.b, isolines):
-            curves.append(np.array([eval_surface(surf, float(u), float(v))[:2]
-                                    for v in vs]))
-        for v in np.linspace(surf.v_space.a, surf.v_space.b, isolines):
-            curves.append(np.array([eval_surface(surf, float(u), float(v))[:2]
-                                    for u in us]))
+        u_lines = grid(np.linspace(surf.u_space.a, surf.u_space.b, isolines), vs)
+        v_lines = grid(us, np.linspace(surf.v_space.a, surf.v_space.b, isolines))
+        curves = list(u_lines[:, :, :2]) + list(v_lines.transpose(1, 0, 2)[:, :, :2])
         write_svg(out, svg_curve_plot(curves))
     click.echo(f"wrote {out} ({samples}x{samples} samples)")
 

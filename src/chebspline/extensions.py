@@ -1,12 +1,19 @@
-"""Beyond parametric continuity: connection matrices, multi-order spaces,
-and detection of extra endpoint smoothness in quasi-Chebyshevian sections.
+"""Beyond parametric continuity: multi-order spaces and detection of extra
+endpoint smoothness in quasi-Chebyshevian sections.
 
-Connection matrices twist the interior continuity conditions of a transition
-row: the left derivative vector is premultiplied by a lower triangular M with
-unit first row/column before being matched to the right side.  Multi-order
-spaces let every section carry its own order; continuity orders k_i replace
-knot multiplicities and the basis bookkeeping runs on two staggered knot
-sequences (supports [t_i, s_i]).
+Multi-order spaces let every section carry its own order; continuity orders
+k_i replace knot multiplicities and the basis bookkeeping runs on two
+staggered knot sequences (supports [t_i, s_i]).  Their transition table is
+an ordinary TransitionTable, so the evaluators of the basis module
+(sample_basis, sample_transitions, eval_bspline, eval_nonzero_basis) take a
+MultiOrderSpace as they take a SplineSpace.
+
+Connection matrices (geometric continuity) twist the interior continuity
+conditions of a transition row: the left derivative vector is premultiplied
+by a lower triangular M with unit first row/column before being matched to
+the right side.  They need no code of their own: make_spline_space attaches
+them to break points, solve_ramp applies them, insert_knot carries them
+through refinement and validate_connection_matrix checks them.
 """
 
 from __future__ import annotations
@@ -15,66 +22,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SplineSpace
+from .basis import sample_basis
 from .errors import PartitionError
-from .refine import refine_space_structure, _reuse_table
 from .sections import ECSection
 from .transition import (RowReport, TransitionRow, TransitionTable,
-                         build_transition_table, detect_vanishing_order,
-                         solve_ramp, validate_connection_matrix)
+                         detect_vanishing_order, solve_ramp,
+                         validate_connection_matrix)
 
 __all__ = [
-    "build_gc_transition_table", "refine_gc_space", "MultiOrderSpace",
-    "build_multiorder_space", "eval_multiorder_bspline",
-    "sample_multiorder_basis", "QECProfile", "qec_profile",
-    "detect_vanishing_order", "validate_connection_matrix",
+    "MultiOrderSpace", "build_multiorder_space", "sample_multiorder_basis",
+    "QECProfile", "qec_profile", "detect_vanishing_order",
+    "validate_connection_matrix",
 ]
-
-
-# ---------------------------------------------------------------------------
-# geometric continuity
-# ---------------------------------------------------------------------------
-
-def build_gc_transition_table(space: SplineSpace) -> TransitionTable:
-    """Transition table for a space with connection matrices.
-
-    With every matrix equal to the identity (or absent) the result is
-    bit-identical to the parametric build; the solver is shared and only the
-    interior continuity rows differ.
-    """
-    return build_transition_table(space, residual_tol=space.residual_tol)
-
-
-def refine_gc_space(space: SplineSpace, that: float) -> SplineSpace:
-    """Insert a knot into a space carrying connection matrices.
-
-    At an existing break point the attached matrix loses its last row and
-    column (one continuity condition less survives); a fresh break point
-    gets no matrix, i.e. the identity.  Returns the refined space with its
-    transition table; use insert_knot to also carry spline coefficients.
-    """
-    new_space, ell, mult, grew = refine_space_structure(space, that)
-    new_space._table = _reuse_table(space, new_space, ell, grew)
-    return new_space
 
 
 # ---------------------------------------------------------------------------
 # multi-order spaces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _MultiOrderGrid:
-    """Just enough of the partition interface for TransitionTable."""
-    grid: np.ndarray
-
-    def grid_interval(self, x: float, side: str = "right") -> int:
-        g = self.grid
-        if side == "left":
-            j = int(np.searchsorted(g, x, side="left")) - 1
-        else:
-            j = int(np.searchsorted(g, x, side="right")) - 1
-        return min(max(j, 0), len(g) - 2)
-
 
 @dataclass
 class MultiOrderSpace:
@@ -90,7 +54,7 @@ class MultiOrderSpace:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.table.partition.grid
+        return self.table.grid
 
     @property
     def a(self) -> float:
@@ -162,7 +126,6 @@ def build_multiorder_space(sections: list[ECSection],
     s_knots = np.array(s_list)
     K = len(t_knots)
 
-    shim = _MultiOrderGrid(grid)
     rows: dict[int, TransitionRow] = {}
     reports: dict[int, RowReport] = {}
     for i in range(2, K + 1):
@@ -184,27 +147,13 @@ def build_multiorder_space(sections: list[ECSection],
                                  residual_tol=residual_tol)
         rows[i] = TransitionRow(i, "ramp", lo, hi, j_lo, tuple(coeffs))
         reports[i] = rep
-    table = TransitionTable(max(orders), K, shim, list(sections), rows, reports)
+    table = TransitionTable(max(orders), K, grid, list(sections), rows, reports)
     return MultiOrderSpace(list(sections), list(continuities),
                            t_knots, s_knots, table)
 
 
-def eval_multiorder_bspline(mo: MultiOrderSpace, i: int, x: float,
-                            r: int = 0, side: str = "right") -> float:
-    """D^r N_i(x) = D^r (f_i - f_{i+1})(x)."""
-    if not 1 <= i <= mo.dim:
-        raise IndexError(f"basis index {i} out of range 1..{mo.dim}")
-    return mo.table.eval(i, x, r, side) - mo.table.eval(i + 1, x, r, side)
-
-
-def sample_multiorder_basis(mo: MultiOrderSpace, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty((len(xs), mo.dim))
-    for k, x in enumerate(xs):
-        side = "left" if x == mo.b else "right"
-        for i in range(1, mo.dim + 1):
-            out[k, i - 1] = eval_multiorder_bspline(mo, i, float(x), 0, side)
-    return out
+# the multi-order name of sample_basis, kept for existing callers
+sample_multiorder_basis = sample_basis
 
 
 # ---------------------------------------------------------------------------

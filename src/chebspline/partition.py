@@ -82,21 +82,6 @@ class ExtendedPartition:
             return max(ell, m)
         return int(np.searchsorted(self.knots, x, side="right"))
 
-    def grid_interval(self, x: float, side: str = "right") -> int:
-        """0-based grid interval index containing x.
-
-        side="right" treats intervals as [x_j, x_{j+1}) except at the grid's
-        far end; side="left" uses (x_j, x_{j+1}].
-        """
-        g = self.grid
-        if x < g[0] or x > g[-1]:
-            raise PartitionError(f"{x} outside the grid [{g[0]}, {g[-1]}]")
-        if side == "left":
-            j = int(np.searchsorted(g, x, side="left")) - 1
-        else:
-            j = int(np.searchsorted(g, x, side="right")) - 1
-        return min(max(j, 0), len(g) - 2)
-
     # -- derived views ----------------------------------------------------------
     def interior_multiplicities(self) -> list[int]:
         """Multiplicities of the interior grid points within (a, b)."""
@@ -108,6 +93,23 @@ class ExtendedPartition:
 
     def breakpoints(self) -> np.ndarray:
         return self.grid.copy()
+
+
+def _interval_index(grid: np.ndarray, x, side: str = "right", lo=None, hi=None):
+    """0-based index j of the grid interval [g_j, g_{j+1}] holding x (a
+    number or an array): [g_j, g_{j+1}) for side="right", (g_j, g_{j+1}]
+    for side="left".  Only the intervals inside [lo, hi] (both grid points,
+    or neither given for the whole grid) are read, so x = lo reads the first
+    of them and x = hi the last whatever side says; x outside [lo, hi]
+    raises."""
+    first, last = (0, len(grid) - 1) if lo is None else grid.searchsorted((lo, hi))
+    scalar = np.ndim(x) == 0   # a single point skips numpy's reductions
+    if not (grid[first] <= x <= grid[last] if scalar
+            else np.logical_and(grid[first] <= x, x <= grid[last]).all()):
+        raise PartitionError(
+            f"evaluation point outside [{grid[first]}, {grid[last]}]")
+    j = grid.searchsorted(x, side) - 1
+    return min(max(int(j), first), last - 1) if scalar else np.clip(j, first, last - 1)
 
 
 def build_extended_partition(breakpoints, multiplicities, order: int) -> ExtendedPartition:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (Spline, SplineSpace, eval_spline, make_spline_space,
-                    one_section_space)
+from .basis import (Spline, SplineSpace, make_spline_space, one_section_space,
+                    sample_spline)
 from .errors import KnotRemovalError, RefinementError
-from .partition import partition_from_knots, build_extended_partition
+from .partition import (_interval_index, build_extended_partition,
+                        partition_from_knots)
 from .sections import ECSection, FAMILIES, make_section, merge_sections, split_section
 from .transition import (TransitionRow, TransitionTable, detect_vanishing_order,
                          solve_space_row)
@@ -87,7 +88,7 @@ def refine_space_structure(space: SplineSpace, that: float,
     sections = list(space.sections)
     grew = False
     if hit is None:
-        j0 = part.grid_interval(that, "right")
+        j0 = _interval_index(grid, that, "right")
         left, right = split_section(sections[j0], that, strategy)
         sections[j0:j0 + 1] = [left, right]
         grid = np.insert(grid, j0 + 1, that)
@@ -132,7 +133,7 @@ def _reuse_table(space: SplineSpace, new_space: SplineSpace, ell: int,
             rows[i] = row
             if rep is not None:
                 reports[i] = rep
-    return TransitionTable(m, part.dim, part, new_space.sections, rows, reports)
+    return TransitionTable(m, part.dim, part.grid, new_space.sections, rows, reports)
 
 
 def _compute_alphas(old_space: SplineSpace, new_space: SplineSpace,
@@ -228,12 +229,7 @@ def max_deviation(s1: Spline, s2: Spline, samples: int = 1000) -> float:
     a = max(s1.space.a, s2.space.a)
     b = min(s1.space.b, s2.space.b)
     xs = np.linspace(a, b, samples)
-    worst = 0.0
-    for x in xs:
-        side = "left" if x == b else "right"
-        d = eval_spline(s1, float(x), side) - eval_spline(s2, float(x), side)
-        worst = max(worst, float(np.abs(d).max()))
-    return worst
+    return float(np.abs(sample_spline(s1, xs) - sample_spline(s2, xs)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ coefficients of f_i on every section it crosses.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConnectionMatrixError, SingularSystemError
+from .errors import ConnectionMatrixError, PartitionError, SingularSystemError
+from .partition import _interval_index
 from .sections import ECSection
 
 
@@ -157,10 +159,12 @@ class TransitionRow:
 class TransitionTable:
     order: int
     dim: int
-    partition: object              # ExtendedPartition
+    grid: np.ndarray               # section boundaries, one section per interval
     sections: list[ECSection]
     rows: dict[int, TransitionRow]
     reports: dict[int, RowReport] = field(default_factory=dict)
+    _blocks: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def max_condition(self) -> float:
@@ -175,25 +179,43 @@ class TransitionTable:
         row = self.rows[i]
         return row.start, row.stop
 
+    def _block(self, j: int) -> tuple[int, np.ndarray]:
+        """(lo, P_j) for grid interval j: f_lo, f_lo+1, .. are the rows alive
+        on the interval, with their coefficients stacked in P_j; the rows
+        before lo (and f_1) are 1 there, the rows after (and f_{dim+1}) 0.
+
+        Row supports are ordered, so the rows alive on an interval are
+        consecutive; step rows are never alive.  A block is built on first
+        use and cached.
+        """
+        if self._blocks is None:
+            rows = [self.rows[i] for i in range(2, self.dim + 1)]
+            self._blocks = ([row.first_piece for row in rows],
+                            [row.first_piece + len(row.pieces) for row in rows],
+                            {})
+        starts, ends, blocks = self._blocks
+        if j not in blocks:
+            lo = 2 + bisect_right(ends, j)
+            hi = 2 + bisect_right(starts, j)
+            P = np.array([self.rows[i].pieces[j - self.rows[i].first_piece]
+                          for i in range(lo, hi)], dtype=float)
+            blocks[j] = (lo, P.reshape(hi - lo, self.sections[j].order))
+        return blocks[j]
+
     def eval(self, i: int, x: float, r: int = 0, side: str = "right") -> float:
-        """D^r f_i(x).  side picks the piece when x sits on a break point."""
-        if i == 1:
-            return 1.0 if r == 0 else 0.0
-        if i == self.dim + 1:
-            return 0.0
-        row = self.rows[i]
-        if row.kind == "step":
-            if x < row.start or (x == row.start and side == "left"):
-                return 0.0
-            return 1.0 if r == 0 else 0.0
-        j = self.partition.grid_interval(x, side)
-        k = j - row.first_piece
+        """D^r f_i(x).  side picks the grid interval when x sits on a break
+        point; x may lie anywhere on the grid."""
+        if not 1 <= i <= self.dim + 1:
+            raise PartitionError(
+                f"transition index {i} out of range 1..{self.dim + 1}")
+        j = _interval_index(self.grid, x, side)
+        lo, P = self._block(j)
+        k = i - lo
         if k < 0:
-            return 0.0
-        if k >= len(row.pieces):
             return 1.0 if r == 0 else 0.0
-        vals = self.sections[j].eval_all(r, x)
-        return float(row.pieces[k] @ vals)
+        if k >= len(P):
+            return 0.0
+        return float(P[k] @ self.sections[j].eval_all(r, x))
 
     def integral(self, i: int, u: float, v: float) -> float:
         """Integral of f_i over [u, v] (u <= v within the grid)."""
@@ -204,13 +226,11 @@ class TransitionTable:
         if i == self.dim + 1:
             return 0.0
         row = self.rows[i]
-        if row.kind == "step":
-            return max(0.0, v - max(u, row.start))
         total = max(0.0, v - max(u, row.stop))
         lo, hi = max(u, row.start), min(v, row.stop)
         if lo >= hi:
             return total
-        grid = self.partition.grid
+        grid = self.grid
         for k, coeff in enumerate(row.pieces):
             j = row.first_piece + k
             seg_lo, seg_hi = max(lo, grid[j]), min(hi, grid[j + 1])
@@ -297,7 +317,7 @@ def build_transition_table(space, *, residual_tol: float = 1e-8,
         rows[i] = row
         if rep is not None:
             reports[i] = rep
-    return TransitionTable(part.order, dim, part, sections, rows, reports)
+    return TransitionTable(part.order, dim, part.grid, sections, rows, reports)
 
 
 def detect_vanishing_order(table: TransitionTable, i: int, side: str = "left",

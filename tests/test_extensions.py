@@ -4,10 +4,9 @@ from numpy.testing import assert_allclose
 
 from chebspline import (Spline, build_extended_partition,
                         build_multiorder_space, detect_vanishing_order,
-                        eval_multiorder_bspline, eval_spline_derivative,
-                        insert_knot, make_section, make_spline_space,
-                        qec_profile, refine_gc_space, sample_basis,
-                        sample_multiorder_basis, sample_spline)
+                        eval_bspline, eval_spline_derivative, insert_knot,
+                        make_section, make_spline_space, qec_profile,
+                        sample_basis, sample_spline)
 
 
 def gc_curve_space(beta):
@@ -76,9 +75,15 @@ def test_gc_bases_are_partitions_of_unity():
         assert_allclose(vals.sum(axis=1), 1.0, atol=1e-10)
 
 
+def refine_structure(space, that):
+    """The refined space of an insertion into a zero spline."""
+    step, _ = insert_knot(space, Spline(space, np.zeros(space.dim)), that)
+    return step.space
+
+
 def test_refine_gc_on_existing_break_point_shrinks_matrix():
     space = gc_curve_space(14.0)
-    refined = refine_gc_space(space, 1.0)
+    refined = refine_structure(space, 1.0)
     g = int(np.nonzero(np.isclose(refined.partition.grid, 1.0))[0][0])
     assert refined.connections[g].shape == (1, 1)
     assert_allclose(refined.connections[g], [[1.0]])
@@ -86,7 +91,7 @@ def test_refine_gc_on_existing_break_point_shrinks_matrix():
 
 def test_refine_gc_on_fresh_point_attaches_identity():
     space = gc_curve_space(14.0)
-    refined = refine_gc_space(space, 0.5)
+    refined = refine_structure(space, 0.5)
     g = int(np.nonzero(np.isclose(refined.partition.grid, 0.5))[0][0])
     assert g not in refined.connections       # absent matrix means identity
     assert refined.dim == space.dim + 1
@@ -113,7 +118,7 @@ def test_multiorder_degenerates_to_uniform_order():
     plain = make_spline_space(part, secs)
     mo = build_multiorder_space(list(secs), [2])       # C^2 = simple knot
     xs = np.linspace(0.0, 2.0, 300)
-    assert_allclose(sample_multiorder_basis(mo, xs), sample_basis(plain, xs),
+    assert_allclose(sample_basis(mo, xs), sample_basis(plain, xs),
                     atol=1e-12)
 
 
@@ -132,7 +137,7 @@ def test_multiorder_mixed_orders_partition_of_unity():
     mo = build_multiorder_space(multi_order_sections(), [1, 1, 1, 1])
     assert len(mo.t_knots) == 9
     xs = np.linspace(0.0, 5.0, 500)
-    vals = sample_multiorder_basis(mo, xs)
+    vals = sample_basis(mo, xs)
     assert vals.shape[1] == 9
     assert_allclose(vals.sum(axis=1), 1.0, atol=1e-10)
     assert vals.min() > -1e-10
@@ -145,7 +150,7 @@ def test_multiorder_support():
         lo, hi = mo.t_knots[i - 1], mo.s_knots[i - 1]
         for x in np.linspace(0.0, 5.0, 101):
             if x < lo - 1e-12 or x > hi + 1e-12:
-                assert eval_multiorder_bspline(mo, i, x) == 0.0
+                assert eval_bspline(mo, i, x) == 0.0
 
 
 def test_vanishing_order_ec_case():
@@ -179,3 +184,18 @@ def test_qec_basis_partition_of_unity():
     vals = sample_basis(space, xs)
     assert_allclose(vals.sum(axis=1), 1.0, atol=1e-10)
     assert vals.min() > -1e-10
+
+
+def test_connection_dict_keys_are_grid_indices():
+    # with break points [0, .5, 1, 2] the key 2 names the break point 1.0,
+    # not the location 2.0 (the domain end)
+    part = build_extended_partition([0.0, 0.5, 1.0, 2.0], [1, 1], 3)
+    secs = [make_section("polynomial", None, (part.grid[j], part.grid[j + 1]), 3)
+            for j in range(part.num_sections)]
+    M = [[1.0, 0.0], [0.0, 2.0]]
+    by_index = make_spline_space(part, secs, {2: M})
+    by_location = make_spline_space(part, secs, [(1.0, M)])
+    assert list(by_index.connections) == [2]
+    assert np.array_equal(by_index.connections[2], by_location.connections[2])
+    xs = np.linspace(0.0, 2.0, 50)
+    assert np.array_equal(sample_basis(by_index, xs), sample_basis(by_location, xs))
