@@ -16,7 +16,8 @@ from .errors import PartitionError
 from .partition import (ExtendedPartition, _interval_index,
                         build_extended_partition)
 from .sections import ECSection
-from .transition import TransitionTable, build_transition_table
+from .transition import (TransitionTable, _row_spec, build_transition_table,
+                         validate_connection_matrix)
 
 
 @dataclass
@@ -30,7 +31,6 @@ class SplineSpace:
     partition: ExtendedPartition
     sections: list[ECSection]
     connections: dict[int, np.ndarray] = field(default_factory=dict)
-    residual_tol: float = 1e-8
     _table: TransitionTable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -52,8 +52,21 @@ class SplineSpace:
     @property
     def table(self) -> TransitionTable:
         if self._table is None:
-            self._table = build_transition_table(self, residual_tol=self.residual_tol)
+            self._table = build_transition_table(self)
         return self._table
+
+    def _row_specs(self):
+        """The grid and the Hermite conditions of f_2..f_dim: f_i ramps from
+        t_i to t_{i+m-1}, with m - mu continuity conditions at a break point
+        of multiplicity mu (checked against its connection matrix)."""
+        part, m = self.partition, self.order
+        t, grid = part.knots, part.grid
+        counts = (m - t.searchsorted(grid, "right") + t.searchsorted(grid)).tolist()
+        for g, M in self.connections.items():
+            validate_connection_matrix(M, counts[g])
+        return grid, {i: _row_spec(grid, self.sections, t, t, counts,
+                                   self.connections, i, i + m - 1)
+                      for i in range(2, part.dim + 1)}
 
     def support(self, i: int) -> tuple[float, float]:
         """Support [t_i, t_{i+m}] of basis function N_i."""
@@ -61,7 +74,7 @@ class SplineSpace:
 
 
 def make_spline_space(partition: ExtendedPartition, sections: list[ECSection],
-                      connections=None, residual_tol: float = 1e-8) -> SplineSpace:
+                      connections=None) -> SplineSpace:
     """Assemble and validate a spline space.
 
     connections may be a dict {grid index: matrix} or a sequence of
@@ -95,7 +108,7 @@ def make_spline_space(partition: ExtendedPartition, sections: list[ECSection],
         if not 0 < g < len(grid) - 1:
             raise PartitionError("connection matrices attach to interior break points")
         conn[g] = np.asarray(M, dtype=float)
-    return SplineSpace(partition, sections, conn, residual_tol)
+    return SplineSpace(partition, sections, conn)
 
 
 def one_section_space(section: ECSection) -> SplineSpace:

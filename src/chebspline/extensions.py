@@ -25,9 +25,8 @@ import numpy as np
 from .basis import sample_basis
 from .errors import PartitionError
 from .sections import ECSection
-from .transition import (RowReport, TransitionRow, TransitionTable,
-                         detect_vanishing_order, solve_ramp,
-                         validate_connection_matrix)
+from .transition import (TransitionTable, _row_spec, build_transition_table,
+                         detect_vanishing_order, validate_connection_matrix)
 
 __all__ = [
     "MultiOrderSpace", "build_multiorder_space", "sample_multiorder_basis",
@@ -54,7 +53,8 @@ class MultiOrderSpace:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.table.grid
+        return np.array([s.interval[0] for s in self.sections]
+                        + [self.sections[-1].interval[1]], dtype=float)
 
     @property
     def a(self) -> float:
@@ -70,25 +70,18 @@ class MultiOrderSpace:
             raise IndexError(f"basis index {i} out of range 1..{self.dim}")
         return float(self.t_knots[i - 1]), float(self.s_knots[i - 1])
 
-
-def _run_right(values: np.ndarray, i: int) -> int:
-    """Length of the run of entries equal to values[i-1] at 1-based i..on."""
-    n = 0
-    while i - 1 + n < len(values) and values[i - 1 + n] == values[i - 1]:
-        n += 1
-    return n
-
-
-def _run_left(values: np.ndarray, i: int) -> int:
-    n = 0
-    while i - 1 - n >= 0 and values[i - 1 - n] == values[i - 1]:
-        n += 1
-    return n
+    def _row_specs(self):
+        """The grid and the Hermite conditions of f_2..f_dim: f_i ramps from
+        t_i to s_{i-1}, with k_j + 1 continuity conditions at break point x_j."""
+        grid = self.grid
+        counts = [0, *(k + 1 for k in self.continuities), 0]
+        return grid, {i: _row_spec(grid, self.sections, self.t_knots,
+                                   self.s_knots, counts, {}, i, i - 1)
+                      for i in range(2, self.dim + 1)}
 
 
 def build_multiorder_space(sections: list[ECSection],
-                           continuities: list[int], *,
-                           residual_tol: float = 1e-8) -> MultiOrderSpace:
+                           continuities: list[int]) -> MultiOrderSpace:
     """B-spline basis for sections of different orders joined C^{k_i}.
 
     Break point x_i appears m_i - k_i - 1 times among the start knots t and
@@ -122,34 +115,10 @@ def build_multiorder_space(sections: list[ECSection],
         t_list += [grid[i]] * (orders[i] - continuities[i - 1] - 1)
         s_list += [grid[i]] * (orders[i - 1] - continuities[i - 1] - 1)
     s_list += [grid[q + 1]] * orders[q]
-    t_knots = np.array(t_list)
-    s_knots = np.array(s_list)
-    K = len(t_knots)
-
-    rows: dict[int, TransitionRow] = {}
-    reports: dict[int, RowReport] = {}
-    for i in range(2, K + 1):
-        lo = float(t_knots[i - 1])
-        hi = float(s_knots[i - 2])
-        j_lo = int(np.searchsorted(grid, lo, side="right")) - 1 if lo < grid[-1] \
-            else len(grid) - 2
-        if lo >= hi:
-            rows[i] = TransitionRow(i, "step", lo, lo, j_lo, ())
-            continue
-        j_hi = int(np.searchsorted(grid, hi, side="left"))
-        pieces = [sections[j] for j in range(j_lo, j_hi)]
-        points = [float(grid[j]) for j in range(j_lo, j_hi + 1)]
-        interior = [continuities[j - 1] + 1 for j in range(j_lo + 1, j_hi)]
-        left_count = orders[j_lo] - _run_right(t_knots, i)
-        right_count = orders[j_hi - 1] - _run_left(s_knots, i - 1)
-        coeffs, rep = solve_ramp(pieces, points, left_count, interior,
-                                 right_count, index=i,
-                                 residual_tol=residual_tol)
-        rows[i] = TransitionRow(i, "ramp", lo, hi, j_lo, tuple(coeffs))
-        reports[i] = rep
-    table = TransitionTable(max(orders), K, grid, list(sections), rows, reports)
-    return MultiOrderSpace(list(sections), list(continuities),
-                           t_knots, s_knots, table)
+    space = MultiOrderSpace(list(sections), list(continuities),
+                            np.array(t_list), np.array(s_list))
+    space.table = build_transition_table(space)
+    return space
 
 
 # the multi-order name of sample_basis, kept for existing callers

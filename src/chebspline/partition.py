@@ -28,7 +28,6 @@ class ExtendedPartition:
     grid: np.ndarray         # section boundaries covering [knots[0], knots[-1]]
     a: float
     b: float
-    p_index: np.ndarray      # knot -> grid index (0-based into grid)
 
     @property
     def K(self) -> int:
@@ -49,38 +48,12 @@ class ExtendedPartition:
             raise PartitionError(f"knot index {i} out of range 1..{len(self.knots)}")
         return float(self.knots[i - 1])
 
-    def piece_of_knot(self, i: int) -> int:
-        """Grid index of knot t_i (0-based into grid)."""
-        return int(self.p_index[i - 1])
-
     def end_multiplicities(self, i: int) -> tuple[int, int]:
         """(mu_left, mu_right): run lengths of knots equal to t_i ending/starting at i."""
-        t = self.knots
-        v = t[i - 1]
-        right = 1
-        while i - 1 + right < len(t) and t[i - 1 + right] == v:
-            right += 1
-        left = 1
-        while i - 1 - left >= 0 and t[i - 1 - left] == v:
-            left += 1
-        return left, right
+        return _run(self.knots, i - 1, -1), _run(self.knots, i - 1, 1)
 
     def multiplicity_of(self, x: float) -> int:
         return int(np.sum(self.knots == x))
-
-    # -- location -------------------------------------------------------------
-    def locate(self, x: float, side: str = "right") -> int:
-        """1-based index l with t_l <= x < t_{l+1}; x == b returns the last
-        index with t_l < b, so [t_l, t_{l+1}) is the final nontrivial span.
-        side="left" locates the interval just left of x instead (one-sided
-        evaluation at a knot), falling back to the first span at x = a."""
-        if not (self.a <= x <= self.b):
-            raise PartitionError(f"{x} outside the domain [{self.a}, {self.b}]")
-        m = self.order
-        if x == self.b or side == "left":
-            ell = int(np.searchsorted(self.knots, x, side="left"))
-            return max(ell, m)
-        return int(np.searchsorted(self.knots, x, side="right"))
 
     # -- derived views ----------------------------------------------------------
     def interior_multiplicities(self) -> list[int]:
@@ -93,6 +66,15 @@ class ExtendedPartition:
 
     def breakpoints(self) -> np.ndarray:
         return self.grid.copy()
+
+
+def _run(values, k: int, step: int) -> int:
+    """Length of the run of entries equal to values[k] (0-based) that starts
+    at k and goes right (step 1) or left (step -1)."""
+    n = 1
+    while 0 <= k + n * step < len(values) and values[k + n * step] == values[k]:
+        n += 1
+    return n
 
 
 def _interval_index(grid: np.ndarray, x, side: str = "right", lo=None, hi=None):
@@ -132,14 +114,10 @@ def build_extended_partition(breakpoints, multiplicities, order: int) -> Extende
         raise PartitionError(f"multiplicities must lie in 0..{m}")
     a, b = float(bp[0]), float(bp[-1])
     knots = [a] * m
-    p_index = [0] * m
     for j, mu in enumerate(mult, start=1):
         knots.extend([float(bp[j])] * mu)
-        p_index.extend([j] * mu)
     knots.extend([b] * m)
-    p_index.extend([len(bp) - 1] * m)
-    return ExtendedPartition(m, np.asarray(knots), bp.copy(), a, b,
-                             np.asarray(p_index, dtype=int))
+    return ExtendedPartition(m, np.asarray(knots), bp.copy(), a, b)
 
 
 def partition_from_knots(order: int, knots, grid=None,
@@ -174,5 +152,4 @@ def partition_from_knots(order: int, knots, grid=None,
             raise PartitionError(f"grid is missing knot values {missing.tolist()}")
         if g[0] != t[0] or g[-1] != t[-1]:
             raise PartitionError("grid must span exactly the knot range")
-    p_index = np.searchsorted(g, t)
-    return ExtendedPartition(m, t.copy(), g, a, b, p_index.astype(int))
+    return ExtendedPartition(m, t.copy(), g, a, b)

@@ -21,8 +21,7 @@ from .errors import KnotRemovalError, RefinementError
 from .partition import (_interval_index, build_extended_partition,
                         partition_from_knots)
 from .sections import ECSection, FAMILIES, make_section, merge_sections, split_section
-from .transition import (TransitionRow, TransitionTable, detect_vanishing_order,
-                         solve_space_row)
+from .transition import TransitionTable, _assemble_table, detect_vanishing_order
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +61,10 @@ def _snap_to_grid(grid: np.ndarray, that: float) -> tuple[int | None, float]:
 
 def refine_space_structure(space: SplineSpace, that: float,
                            strategy: str = "restrict"
-                           ) -> tuple[SplineSpace, int, int, bool]:
+                           ) -> tuple[SplineSpace, int, int]:
     """Insert a knot into the space structure only (no coefficients).
 
-    Returns (new space, scan index ell, multiplicity after, grid grew).
+    Returns (new space, scan index ell, multiplicity after).
     Existing connection matrices shrink by one row/column when the insertion
     lands on their break point; fresh break points get no matrix (identity).
     """
@@ -86,13 +85,11 @@ def refine_space_structure(space: SplineSpace, that: float,
     new_knots = np.insert(knots, ell, that)
     grid = part.grid
     sections = list(space.sections)
-    grew = False
     if hit is None:
         j0 = _interval_index(grid, that, "right")
         left, right = split_section(sections[j0], that, strategy)
         sections[j0:j0 + 1] = [left, right]
         grid = np.insert(grid, j0 + 1, that)
-        grew = True
         new_conn = {(g if g <= j0 else g + 1): M
                     for g, M in space.connections.items()}
     else:
@@ -106,34 +103,16 @@ def refine_space_structure(space: SplineSpace, that: float,
             else:
                 new_conn[g] = M
     new_part = partition_from_knots(m, new_knots, grid=grid)
-    new_space = SplineSpace(new_part, sections, new_conn, space.residual_tol)
-    return new_space, ell, mult, grew
+    return SplineSpace(new_part, sections, new_conn), ell, mult
 
 
-def _reuse_table(space: SplineSpace, new_space: SplineSpace, ell: int,
-                 grew: bool) -> TransitionTable:
-    """Table of the refined space, re-solving only rows spanning the new knot."""
-    m = space.order
-    old = space.table
-    part = new_space.partition
-    shift = 1 if grew else 0
-    rows: dict[int, TransitionRow] = {}
-    reports = dict()
-    for i in range(2, part.dim + 1):
-        if i <= ell - m + 1:
-            rows[i] = old.rows[i]
-        elif i >= ell + 2:
-            src = old.rows[i - 1]
-            rows[i] = TransitionRow(i, src.kind, src.start, src.stop,
-                                    src.first_piece + shift, src.pieces)
-        else:
-            row, rep = solve_space_row(part, new_space.sections,
-                                       new_space.connections, i,
-                                       residual_tol=new_space.residual_tol)
-            rows[i] = row
-            if rep is not None:
-                reports[i] = rep
-    return TransitionTable(m, part.dim, part.grid, new_space.sections, rows, reports)
+def _reuse_table(old_space: SplineSpace, new_space: SplineSpace) -> TransitionTable:
+    """Table of new_space derived from old_space's: every row whose Hermite
+    system is unchanged is copied with its report, the others are solved."""
+    old = old_space.table
+    _, specs = old_space._row_specs()
+    return _assemble_table(new_space, {spec.key: (old.rows[i], old.reports.get(i))
+                                       for i, spec in specs.items()})
 
 
 def _compute_alphas(old_space: SplineSpace, new_space: SplineSpace,
@@ -194,8 +173,8 @@ def _apply_alphas(alphas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def _insert(space: SplineSpace, spline: Spline | None, that: float,
             strategy: str, formula: str) -> tuple[RefinementStep, Spline | None]:
-    new_space, ell, mult, grew = refine_space_structure(space, that, strategy)
-    new_space._table = _reuse_table(space, new_space, ell, grew)
+    new_space, ell, mult = refine_space_structure(space, that, strategy)
+    new_space._table = _reuse_table(space, new_space)
     alphas = _compute_alphas(space, new_space, that, ell, mult, formula)
     step = RefinementStep(that, ell, mult, alphas, new_space, formula, strategy)
     if spline is None:
@@ -332,13 +311,12 @@ def _one_section_derivs(sec: ECSection, orders: int) -> np.ndarray:
     g_i is transition row i+1 of the single-section space; only right-sided
     derivatives at the left endpoint are needed.
     """
-    table = one_section_space(sec).table
+    _, P = one_section_space(sec).table._block(0)     # rows g_1..g_n
     n = sec.order - 1
-    a = sec.interval[0]
     D = np.zeros((n + 1, orders + 1))
-    for i in range(1, n + 1):
-        for j in range(orders + 1):
-            D[i, j] = table.eval(i + 1, a, j, "right")
+    for j in range(orders + 1):
+        u = sec.eval_all(j, sec.interval[0])
+        D[1:, j] = [P[k] @ u for k in range(n)]
     return D
 
 
@@ -487,7 +465,8 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float,
             grid = np.delete(grid, hit)
             conn = {(g if g < hit else g - 1): M for g, M in conn.items()}
     coarse_part = partition_from_knots(m, np.asarray(knots), grid=grid)
-    coarse_space = SplineSpace(coarse_part, sections, conn, space.residual_tol)
+    coarse_space = SplineSpace(coarse_part, sections, conn)
+    coarse_space._table = _reuse_table(space, coarse_space)
     ell = int(np.searchsorted(coarse_part.knots, that, side="right"))
     alphas = _compute_alphas(coarse_space, space, that, ell, mult, "left")
     n_fine = space.dim
@@ -593,6 +572,6 @@ def periodic_to_clamped(space: SplineSpace, spline: Spline
     new_conn = {g - offset: M for g, M in cur_space.connections.items()
                 if 0 < g - offset < len(new_grid) - 1}
     new_part = partition_from_knots(m, new_knots, grid=new_grid)
-    clamped = SplineSpace(new_part, list(new_sections), new_conn,
-                          space.residual_tol)
+    clamped = SplineSpace(new_part, list(new_sections), new_conn)
+    clamped._table = _reuse_table(cur_space, clamped)
     return clamped, Spline(clamped, cur.coefficients[first - 1:last])

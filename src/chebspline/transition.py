@@ -11,13 +11,17 @@ coefficients of f_i on every section it crosses.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConnectionMatrixError, PartitionError, SingularSystemError
-from .partition import _interval_index
+from .partition import _interval_index, _run
 from .sections import ECSection
+
+# largest relative residual a solved transition row may keep
+RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +59,10 @@ class RowReport:
     residual: float
 
 
-def solve_ramp(sections: list[ECSection], points: list[float],
-               left_count: int, interior_counts: list[int], right_count: int,
-               connections: list[np.ndarray | None] | None = None, *,
-               index: int = 0, residual_tol: float = 1e-8,
-               equilibrate: bool = True) -> tuple[list[np.ndarray], RowReport]:
+def solve_ramp(sections: Sequence[ECSection], points: Sequence[float],
+               left_count: int, interior_counts: Sequence[int], right_count: int,
+               connections: Sequence[np.ndarray | None] | None = None, *,
+               index: int = 0) -> tuple[list[np.ndarray], RowReport]:
     """Solve for a piecewise ramp: 0 at the left end, 1 at the right end.
 
     sections: the P pieces the ramp crosses; points: their P+1 boundaries.
@@ -107,16 +110,13 @@ def solve_ramp(sections: list[ECSection], points: list[float],
         c[r0] = 1.0 if r == 0 else 0.0
         r0 += 1
 
-    if equilibrate:
-        row_s = np.abs(A).max(axis=1)
-        row_s[row_s == 0] = 1.0
-        A_eq = A / row_s[:, None]
-        col_s = np.abs(A_eq).max(axis=0)
-        col_s[col_s == 0] = 1.0
-        A_eq = A_eq / col_s[None, :]
-        c_eq = c / row_s
-    else:
-        A_eq, c_eq, col_s = A, c, np.ones(n)
+    row_s = np.abs(A).max(axis=1)
+    row_s[row_s == 0] = 1.0
+    A_eq = A / row_s[:, None]
+    col_s = np.abs(A_eq).max(axis=0)
+    col_s[col_s == 0] = 1.0
+    A_eq = A_eq / col_s[None, :]
+    c_eq = c / row_s
 
     cond = float(np.linalg.cond(A_eq, 1))
     try:
@@ -131,10 +131,10 @@ def solve_ramp(sections: list[ECSection], points: list[float],
     res = A @ b - c
     denom = np.linalg.norm(A, np.inf) * np.linalg.norm(b, np.inf) + 1.0
     rel = float(np.linalg.norm(res, np.inf) / denom)
-    if rel > residual_tol:
+    if rel > RESIDUAL_TOL:
         raise SingularSystemError(
             f"transition system for f_{index} solved with relative residual "
-            f"{rel:.3e} > {residual_tol:.1e} (condition {cond:.3e}); the "
+            f"{rel:.3e} > {RESIDUAL_TOL:.1e} (condition {cond:.3e}); the "
             f"space is too ill conditioned for a usable B-spline basis",
             index=index, condition=cond, residual=rel)
     coeffs = [b[offs[j]:offs[j + 1]].copy() for j in range(P)]
@@ -240,84 +240,99 @@ class TransitionTable:
                 total += float(coeff @ vals)
         return total
 
-    def dump_csv(self, stream) -> None:
-        """One line per transition function: index, kind, support, first
-        piece, then the per-piece coefficients flattened in piece order."""
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "w")
-            close = True
-        try:
-            stream.write("i,kind,start,stop,first_piece,coefficients...\n")
-            for i in sorted(self.rows):
-                row = self.rows[i]
-                flat = np.concatenate(row.pieces) if row.pieces else np.array([])
-                nums = ",".join(f"{v:.17g}" for v in flat)
-                line = f"{i},{row.kind},{row.start:.17g},{row.stop:.17g},{row.first_piece}"
-                stream.write(line + ("," + nums if nums else "") + "\n")
-        finally:
-            if close:
-                stream.close()
+
+# ---------------------------------------------------------------------------
+# the row rule
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RowSpec:
+    """The Hermite system of transition function f_index: it ramps over
+    [start, stop] across the sections pieces, which span the grid intervals
+    from first_piece on and meet at points; left zero conditions at start,
+    interior[j] continuity conditions (through connections[j], None for the
+    identity) at the j-th inner point, right value-one conditions at stop.
+    A step row (start == stop) has no pieces."""
+    index: int
+    start: float
+    stop: float
+    first_piece: int
+    pieces: tuple[ECSection, ...] = ()
+    points: tuple[float, ...] = ()
+    left: int = 0
+    interior: tuple[int, ...] = ()
+    right: int = 0
+    connections: tuple[np.ndarray | None, ...] = ()
+
+    @property
+    def key(self) -> tuple:
+        """Equal keys give the identical linear system: equal points and
+        counts, the same section and connection objects."""
+        return (self.start, self.stop, self.points, self.left, self.interior,
+                self.right, tuple(map(id, self.pieces)),
+                tuple(map(id, self.connections)))
 
 
-def solve_space_row(partition, sections, connections, i: int, *,
-                    residual_tol: float = 1e-8,
-                    equilibrate: bool = True) -> tuple[TransitionRow, RowReport | None]:
-    """Assemble and solve the Hermite system for transition function f_i.
+def _row_spec(grid: np.ndarray, sections: list[ECSection], starts, ends,
+              counts, connections: dict, i: int, e: int) -> RowSpec:
+    """The conditions of f_i, which ramps from the start knot starts_i to the
+    end knot ends_e (1-based indices into the full knot arrays).
 
-    When the row's two support knots coincide, f_i degenerates to a step
-    function and no system is solved.
+    The left count is the order of the first piece minus the run of start
+    knots equal to starts_i from i on; the right count is the order of the
+    last piece minus the run of end knots equal to ends_e up to e; an inner
+    grid point j carries counts[j] continuity conditions.
     """
-    part = partition
-    m = part.order
-    grid = part.grid
-    t_lo = part.knot(i)
-    t_hi = part.knot(i + m - 1)
-    g_lo = part.piece_of_knot(i)
-    g_hi = part.piece_of_knot(i + m - 1)
-    if t_lo == t_hi:
-        return TransitionRow(i, "step", t_lo, t_hi, g_lo, ()), None
-    mu_right = part.end_multiplicities(i)[1]
-    mu_left = part.end_multiplicities(i + m - 1)[0]
-    pieces = [sections[j] for j in range(g_lo, g_hi)]
-    points = [float(grid[j]) for j in range(g_lo, g_hi + 1)]
-    interior = []
-    conn = []
-    for j in range(g_lo + 1, g_hi):
-        mu = part.multiplicity_of(float(grid[j]))
-        interior.append(m - mu)
-        conn.append(connections.get(j))
-    coeffs, rep = solve_ramp(pieces, points, m - mu_right, interior,
-                             m - mu_left, conn, index=i,
-                             residual_tol=residual_tol,
-                             equilibrate=equilibrate)
-    return TransitionRow(i, "ramp", t_lo, t_hi, g_lo, tuple(coeffs)), rep
+    lo, hi = float(starts[i - 1]), float(ends[e - 1])
+    g_lo = int(grid.searchsorted(lo))
+    if lo >= hi:
+        return RowSpec(i, lo, lo, g_lo)
+    g_hi = int(grid.searchsorted(hi))
+    inner = range(g_lo + 1, g_hi)
+    return RowSpec(i, lo, hi, g_lo, tuple(sections[g_lo:g_hi]),
+                   tuple(grid[g_lo:g_hi + 1].tolist()),
+                   sections[g_lo].order - _run(starts, i - 1, 1),
+                   tuple(counts[j] for j in inner),
+                   sections[g_hi - 1].order - _run(ends, e - 1, -1),
+                   tuple(connections.get(j) for j in inner))
 
 
-def build_transition_table(space, *, residual_tol: float = 1e-8,
-                           equilibrate: bool = True) -> TransitionTable:
-    """Solve for all inner transition functions of a spline space.
+def solve_space_row(spec: RowSpec) -> tuple[TransitionRow, RowReport | None]:
+    """Solve the Hermite system of one row; a step row solves nothing."""
+    if not spec.pieces:
+        return TransitionRow(spec.index, "step", spec.start, spec.stop,
+                             spec.first_piece, ()), None
+    coeffs, rep = solve_ramp(spec.pieces, spec.points, spec.left, spec.interior,
+                             spec.right, spec.connections, index=spec.index)
+    return TransitionRow(spec.index, "ramp", spec.start, spec.stop,
+                         spec.first_piece, tuple(coeffs)), rep
 
-    space provides .partition, .sections (one per grid interval) and
-    .connections (grid index -> connection matrix; identity when absent).
-    """
-    part = space.partition
-    sections = space.sections
-    connections = getattr(space, "connections", {}) or {}
-    dim = part.dim
+
+def _assemble_table(space, known: dict) -> TransitionTable:
+    """The table of a single- or multi-order space.  A row whose spec key is
+    in known (key -> (row, report) of another table) is copied from there;
+    the others are solved."""
+    grid, specs = space._row_specs()
     rows: dict[int, TransitionRow] = {}
     reports: dict[int, RowReport] = {}
-    for key, M in connections.items():
-        mu = part.multiplicity_of(float(part.grid[key]))
-        validate_connection_matrix(M, part.order - mu)
-    for i in range(2, dim + 1):
-        row, rep = solve_space_row(part, sections, connections, i,
-                                   residual_tol=residual_tol,
-                                   equilibrate=equilibrate)
+    for i, spec in specs.items():
+        hit = known.get(spec.key)
+        if hit is None:
+            row, rep = solve_space_row(spec)
+        else:
+            row = replace(hit[0], index=i, first_piece=spec.first_piece)
+            rep = None if hit[1] is None else replace(hit[1], index=i)
         rows[i] = row
         if rep is not None:
             reports[i] = rep
-    return TransitionTable(part.order, dim, part.grid, sections, rows, reports)
+    return TransitionTable(max(s.order for s in space.sections), space.dim,
+                           grid, space.sections, rows, reports)
+
+
+def build_transition_table(space) -> TransitionTable:
+    """Solve every inner transition function of a SplineSpace or a
+    MultiOrderSpace; each feeds the one row rule through _row_specs."""
+    return _assemble_table(space, {})
 
 
 def detect_vanishing_order(table: TransitionTable, i: int, side: str = "left",

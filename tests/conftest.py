@@ -16,3 +16,18 @@ def descriptor_dir():
 
 def descriptor_path(name):
     return DESCRIPTORS / f"{name}.json"
+
+
+def assert_same_table(table, ref):
+    """Rows equal byte for byte (kind, support, first piece, coefficients)
+    and reports equal."""
+    from numpy.testing import assert_array_equal
+    assert table.rows.keys() == ref.rows.keys()
+    for i, row in table.rows.items():
+        other = ref.rows[i]
+        assert (row.kind, row.start, row.stop, row.first_piece) == \
+            (other.kind, other.start, other.stop, other.first_piece), i
+        assert len(row.pieces) == len(other.pieces), i
+        for p, q in zip(row.pieces, other.pieces):
+            assert_array_equal(p, q)
+    assert table.reports == ref.reports

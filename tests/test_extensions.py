@@ -4,9 +4,11 @@ from numpy.testing import assert_allclose
 
 from chebspline import (Spline, build_extended_partition,
                         build_multiorder_space, detect_vanishing_order,
+                        build_transition_table,
                         eval_bspline, eval_spline_derivative, insert_knot,
                         make_section, make_spline_space, qec_profile,
                         sample_basis, sample_spline)
+from conftest import assert_same_table
 
 
 def gc_curve_space(beta):
@@ -122,6 +124,24 @@ def test_multiorder_degenerates_to_uniform_order():
                     atol=1e-12)
 
 
+def test_multiorder_table_matches_single_order_table():
+    # one order m and k_i = m - 1 - mu_i: the two space kinds share the rule
+    # for every row, so their tables agree byte for byte
+    m, mults = 5, [1, 2, 0, 3]
+    part = build_extended_partition([0.0, 0.5, 1.0, 1.5, 2.0, 3.0], mults, m)
+    fams = [("polynomial", None), ("trigonometric", {"theta": 1.0}),
+            ("hyperbolic", {"phi": 1.0}), ("mixed", {"theta": 1.0, "phi": 1.0}),
+            ("polynomial", None)]
+    secs = [make_section(fam, par, (part.grid[j], part.grid[j + 1]), m)
+            for j, (fam, par) in enumerate(fams)]
+    single = build_transition_table(make_spline_space(part, secs))
+    mo = build_multiorder_space(secs, [m - 1 - mu for mu in mults])
+    assert_allclose(mo.t_knots, part.knots[:part.dim], rtol=0, atol=0)
+    assert (mo.table.order, mo.table.dim) == (single.order, single.dim)
+    assert mo.table.grid.tobytes() == single.grid.tobytes()
+    assert_same_table(mo.table, single)
+
+
 def multi_order_sections():
     return [
         make_section("polynomial", None, (0.0, 1.0), 2),
@@ -157,9 +177,9 @@ def test_vanishing_order_ec_case():
     part, secs = plain_trig_space()
     space = make_spline_space(part, secs)
     table = space.table
-    # simple interior knot, m = 4: f_i vanishes to order m - mu - 1 = 2
-    i = part.locate(1.0)
-    assert detect_vanishing_order(table, i, "left") == 2
+    # simple interior knot t_5 = 1, m = 4: f_5 vanishes to order m - mu - 1 = 2
+    assert part.knot(5) == 1.0
+    assert detect_vanishing_order(table, 5, "left") == 2
 
 
 def variable_degree_space(n):

@@ -33,19 +33,6 @@ def test_zero_multiplicity_breakpoint():
     assert part.dim == 6
 
 
-def test_locate_endpoints():
-    part = mixed_partition()
-    m, K = part.order, part.K
-    assert part.locate(0.0) == m
-    assert part.locate(1.0) == m + K
-
-
-def test_locate_skips_empty_interval():
-    part = mixed_partition()
-    # [t_7, t_8] = [1/4, 1/4] is empty; 0.3 lives in [t_8, t_9) = [1/4, 1/2)
-    assert part.locate(0.3) == 8
-
-
 def test_end_multiplicities_repeated_interior():
     part = mixed_partition()
     muL, muR = part.end_multiplicities(7)
@@ -62,8 +49,9 @@ def test_end_multiplicities_clamped_left():
 
 def test_end_multiplicities_simple_knot():
     part = build_extended_partition([0.0, 0.5, 1.0], [1], 4)
-    i = part.locate(0.5)
-    muL, muR = part.end_multiplicities(i)
+    # knots 0 0 0 0 0.5 1 1 1 1: the simple knot 0.5 is t_5
+    assert part.knot(5) == 0.5
+    muL, muR = part.end_multiplicities(5)
     assert muL == muR == 1
     assert part.order - 1 - muR == 2
 

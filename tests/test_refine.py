@@ -4,12 +4,15 @@ from numpy.testing import assert_allclose
 
 import oracles
 from chebspline import (KnotRemovalError, Spline, build_extended_partition,
-                        elevate_order, insert_knot, insert_knot_right,
-                        make_periodic_space, make_section, make_spline_space,
-                        max_deviation, one_section_space, partition_from_knots,
+                        build_transition_table, elevate_order, insert_knot,
+                        insert_knot_right, load_object, make_periodic_space,
+                        make_section, make_spline_space, max_deviation,
+                        one_section_space, partition_from_knots,
                         periodic_to_clamped, remove_knot, sample_spline,
-                        tile_periodic_coefficients, to_bezier_segments)
+                        tile_periodic_coefficients, to_bezier_segments,
+                        transition)
 from chebspline.basis import eval_spline
+from conftest import DESCRIPTORS, assert_same_table
 
 
 def polynomial_space(breakpoints, multiplicities, order):
@@ -237,3 +240,55 @@ def test_clamp_is_identity_on_clamped_input():
     spline = random_spline(space, rng)
     out_space, out = periodic_to_clamped(space, spline)
     assert out_space is space and out is spline
+
+
+# the committed splines whose r = 1 elevation succeeds
+ELEVATES = {"trig_m3_open_curve", "trig_m4_open_curve"}
+SPLINES = [pytest.param(path, id=path.stem)
+           for path in sorted(DESCRIPTORS.glob("*.json"))
+           if isinstance(load_object(path), Spline)]
+
+
+def refined_spaces(name, spline):
+    space = spline.space
+    part, m = space.partition, space.order
+    x_new = space.a + 0.37 * (space.b - space.a)
+    step, fine = insert_knot(space, spline, x_new)
+    yield step.space
+    for x in part.grid[1:-1]:
+        if space.a < x < space.b and part.multiplicity_of(float(x)) < m - 1:
+            yield insert_knot(space, spline, float(x))[0].space
+    yield insert_knot_right(space, spline, x_new)[0].space
+    yield remove_knot(step.space, fine, x_new)[0]
+    bez = to_bezier_segments(space, spline)
+    yield bez.space
+    yield from (s.space for s in bez.steps)
+    if name in ELEVATES:
+        yield elevate_order(space, spline, 1)[1].space
+    if part.multiplicity_of(space.a) < m or part.multiplicity_of(space.b) < m:
+        yield periodic_to_clamped(space, spline)[0]
+
+
+@pytest.mark.parametrize("path", SPLINES)
+def test_refined_tables_match_fresh_builds(path):
+    # rows taken over from the parent table, with their reports, must be
+    # exactly what a fresh solve of the refined space gives
+    spline = load_object(path)
+    for space in refined_spaces(path.stem, spline):
+        assert_same_table(space.table, build_transition_table(space))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_remove_knot_resolves_only_rows_crossing_it(m, monkeypatch):
+    space = trig_space(np.linspace(0.0, 2.75, 12), [1] * 10, m, 1.0)
+    spline = random_spline(space, np.random.default_rng(16))
+    step, fine = insert_knot(space, spline, 1.1)         # now 12 intervals
+    solved = []
+    solve = transition.solve_space_row
+    monkeypatch.setattr(transition, "solve_space_row",
+                        lambda spec: solved.append(spec.index) or solve(spec))
+    coarse, back, resid = remove_knot(step.space, fine, 1.1)
+    assert resid < 1e-10
+    # only the rows crossing the merged interval see a new system
+    assert 0 < len(solved) <= m - 1
+    assert_same_table(coarse.table, build_transition_table(coarse))
