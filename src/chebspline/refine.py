@@ -314,8 +314,7 @@ def _one_section_derivs(sec: ECSection, orders: int) -> np.ndarray:
     _, P = one_section_space(sec).table._block(0)     # rows g_1..g_n
     n = sec.order - 1
     D = np.zeros((n + 1, orders + 1))
-    for j in range(orders + 1):
-        u = sec.eval_all(j, sec.interval[0])
+    for j, u in enumerate(sec.jet(orders, sec.interval[0])):
         D[1:, j] = [P[k] @ u for k in range(n)]
     return D
 

@@ -2,9 +2,10 @@
 
 Each section carries an interval [x0, x1], an order m and a list of m
 generators u_1..u_m expressed in a local coordinate t = (x - anchor) * scale.
-Every generator knows its exact derivatives of all orders and a closed-form
-antiderivative, so downstream collocation and integration never fall back on
-numerical differentiation or quadrature.
+Every generator knows its exact derivatives of all orders, given for all
+orders up to R at once as a jet, and a closed-form antiderivative, so
+downstream collocation and integration never fall back on numerical
+differentiation or quadrature.
 """
 
 from __future__ import annotations
@@ -22,154 +23,181 @@ _HALF_PI = 0.5 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# generators (local coordinate t)
+# generator blocks (local coordinate t)
 # ---------------------------------------------------------------------------
+# A block holds one or more generators that share work.  jet(R, t, lo)
+# gives one column [D^lo u(t), .., D^R u(t)] per generator, antideriv(t) one
+# antiderivative per generator, at a float array t (0-d for one point).
+# Products, sums and elementary functions of t[()], the value of a 0-d t,
+# round exactly as on the 0-d array and cost a fraction of it.  Powers do
+# not: numpy's array power loop and the pow of a scalar differ in the last
+# bit for a few per cent of bases, so powers always take the array t.
 
-class Monomial:
-    """u(t) = t**k for integer k >= 0."""
+class Monomials:
+    """u_h(t) = t**(h-1) for h = 1..count."""
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self, count: int):
+        self.count = count
 
-    def deriv(self, r: int, t):
-        k = self.k
-        if r > k:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        c = math.perm(k, r)
-        return c * np.asarray(t, dtype=float) ** (k - r)
+    def jet(self, R: int, t, lo: int = 0) -> list:
+        zero = np.zeros_like(t) if R else None
+        cols = []
+        for k in range(self.count):
+            col = []
+            for r in range(lo, R + 1):
+                col.append(math.perm(k, r) * t ** (k - r) if r <= k else zero)
+            cols.append(col)
+        return cols
 
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return t ** (self.k + 1) / (self.k + 1)
+    def antideriv(self, t) -> list:
+        return [t ** (k + 1) / (k + 1) for k in range(self.count)]
 
 
-class Trig:
-    """u(t) = cos(theta*t + phase); phase -pi/2 gives sin(theta*t)."""
+class Trigs:
+    """cos(theta*t) and sin(theta*t) = cos(theta*t - pi/2)."""
 
-    def __init__(self, theta: float, phase: float):
+    def __init__(self, theta: float):
         self.theta = theta
-        self.phase = phase
 
-    def deriv(self, r: int, t):
-        t = np.asarray(t, dtype=float)
-        return self.theta ** r * np.cos(self.theta * t + self.phase + r * _HALF_PI)
+    def jet(self, R: int, t, lo: int = 0) -> list:
+        th = self.theta
+        u = th * t[()]
+        cols = []
+        for phase in (0.0, -_HALF_PI):
+            arg = u + phase
+            col = []
+            for r in range(lo, R + 1):
+                col.append(th ** r * np.cos(arg + r * _HALF_PI))
+            cols.append(col)
+        return cols
 
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.cos(self.theta * t + self.phase - _HALF_PI) / self.theta
+    def antideriv(self, t) -> list:
+        th = self.theta
+        return [np.cos(th * t + phase - _HALF_PI) / th
+                for phase in (0.0, -_HALF_PI)]
 
 
-class TTrig:
-    """u(t) = t * cos(theta*t + phase)."""
+class TTrigs:
+    """t*cos(theta*t) and t*sin(theta*t)."""
 
-    def __init__(self, theta: float, phase: float):
+    def __init__(self, theta: float):
         self.theta = theta
-        self.phase = phase
 
-    def deriv(self, r: int, t):
-        t = np.asarray(t, dtype=float)
-        th, p = self.theta, self.phase
-        out = t * th ** r * np.cos(th * t + p + r * _HALF_PI)
-        if r >= 1:
-            out = out + r * th ** (r - 1) * np.cos(th * t + p + (r - 1) * _HALF_PI)
-        return out
+    def jet(self, R: int, t, lo: int = 0) -> list:
+        # D^r u = t th^r cos(a + r pi/2) + r th^(r-1) cos(a + (r-1) pi/2)
+        th, t = self.theta, t[()]
+        u = th * t
+        cols = []
+        for phase in (0.0, -_HALF_PI):
+            arg = u + phase
+            prev = np.cos(arg + (lo - 1) * _HALF_PI) if lo else None
+            col = []
+            for r in range(lo, R + 1):
+                cos = np.cos(arg + r * _HALF_PI)
+                val = t * th ** r * cos
+                if r:
+                    val = val + r * th ** (r - 1) * prev
+                col.append(val)
+                prev = cos
+            cols.append(col)
+        return cols
 
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        th, p = self.theta, self.phase
-        return t * np.sin(th * t + p) / th + np.cos(th * t + p) / th ** 2
+    def antideriv(self, t) -> list:
+        th = self.theta
+        return [t * np.sin(th * t + phase) / th + np.cos(th * t + phase) / th ** 2
+                for phase in (0.0, -_HALF_PI)]
 
 
-class Hyp:
-    """u(t) = cosh(phi*t) or sinh(phi*t)."""
+class Hyps:
+    """cosh(phi*t) and sinh(phi*t)."""
 
-    def __init__(self, phi: float, kind: str):
+    def __init__(self, phi: float):
         self.phi = phi
-        self.kind = kind  # "cosh" | "sinh"
 
-    def deriv(self, r: int, t):
-        t = np.asarray(t, dtype=float)
-        even = (r % 2 == 0)
-        use_cosh = even if self.kind == "cosh" else not even
-        fn = np.cosh if use_cosh else np.sinh
-        return self.phi ** r * fn(self.phi * t)
+    def jet(self, R: int, t, lo: int = 0) -> list:
+        # even orders repeat the function itself, odd orders its partner
+        phi = self.phi
+        u = phi * t[()]
+        ch, sh = np.cosh(u), np.sinh(u)
+        cols = []
+        for even, odd in ((ch, sh), (sh, ch)):
+            col = []
+            for r in range(lo, R + 1):
+                col.append(phi ** r * (odd if r % 2 else even))
+            cols.append(col)
+        return cols
 
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "cosh":
-            return np.sinh(self.phi * t) / self.phi
-        return np.cosh(self.phi * t) / self.phi
+    def antideriv(self, t) -> list:
+        phi = self.phi
+        return [np.sinh(phi * t) / phi, np.cosh(phi * t) / phi]
 
 
-class Power:
-    """u(t) = t**n or (1-t)**n for a real exponent n >= 1.
+class Powers:
+    """(1-t)**n1 and t**n2 for real exponents n1, n2 >= 1.
 
-    mirror=True selects (1-t)**n.  For fractional n the derivative of order
-    r > n is unbounded at the base point; callers probing high orders must
-    stop at max_finite_order.
+    For a fractional exponent n the derivative of order r > n is unbounded
+    at the base point; callers probing high orders must stop at the first
+    non-finite value.
     """
 
-    def __init__(self, n: float, mirror: bool):
-        self.n = float(n)
-        self.mirror = mirror
-        self.integer = float(n).is_integer()
+    def __init__(self, n1: float, n2: float):
+        self.exps = ((float(n1), True), (float(n2), False))
 
-    def deriv(self, r: int, t):
-        t = np.asarray(t, dtype=float)
-        n = self.n
-        if self.integer and r > int(n):
-            return np.zeros_like(t)
-        c = 1.0
-        for j in range(r):
-            c *= n - j
-        base = (1.0 - t) if self.mirror else t
-        sign = (-1.0) ** r if self.mirror else 1.0
+    def jet(self, R: int, t, lo: int = 0) -> list:
+        cols = []
         with np.errstate(divide="ignore"):
-            val = sign * c * base ** (n - r)
-        return val
+            for n, mirror in self.exps:
+                base = (1.0 - t) if mirror else t
+                c = 1.0                           # n (n-1) .. (n-r+1)
+                for r in range(lo):
+                    c *= n - r
+                col = []
+                for r in range(lo, R + 1):
+                    if n.is_integer() and r > int(n):
+                        col.append(np.zeros_like(t))
+                        continue
+                    sign = (-1.0) ** r if mirror else 1.0
+                    col.append(sign * c * base ** (n - r))
+                    c *= n - r
+                cols.append(col)
+        return cols
 
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.mirror:
-            return -((1.0 - t) ** (self.n + 1)) / (self.n + 1)
-        return t ** (self.n + 1) / (self.n + 1)
+    def antideriv(self, t) -> list:
+        (n1, _), (n2, _) = self.exps
+        return [-((1.0 - t) ** (n1 + 1)) / (n1 + 1), t ** (n2 + 1) / (n2 + 1)]
 
 
-class RationalCubic:
-    """u(t) = (1-t)**3 / q(t) or t**3 / q(t) with q(t) = 1 + (nu-3)(1-t)t.
+class RationalCubics:
+    """(1-t)**3 / q(t) and t**3 / q(t) with q(t) = 1 + (nu-3)(1-t)t.
 
-    nu >= 3; nu == 3 degenerates to the plain cubic.  Derivatives follow the
-    quotient recurrence D^r(p) = sum C(r,s) D^s(f) D^(r-s)(q) solved for
+    nu >= 3; nu == 3 degenerates to the plain cubics.  Derivatives follow
+    the quotient recurrence D^r(p) = sum C(r,s) D^s(f) D^(r-s)(q) solved for
     D^r(f); the antiderivative comes from polynomial division plus residues
     of the remainder over the real roots of q (which lie outside [0,1]).
     """
 
-    def __init__(self, nu: float, mirror: bool):
+    def __init__(self, nu: float):
         self.nu = float(nu)
-        self.k = self.nu - 3.0
-        self.mirror = mirror  # True -> (1-t)^3 numerator
-        # numerator coefficients, ascending powers
-        if mirror:
-            self._p = np.array([1.0, -3.0, 3.0, -1.0])
-        else:
-            self._p = np.array([0.0, 0.0, 0.0, 1.0])
-        k = self.k
+        k = self.k = self.nu - 3.0
         self._q = np.array([1.0, k, -k])  # 1 + k t - k t^2
+        # numerators, ascending powers, with their derivatives
+        nums = (np.array([1.0, -3.0, 3.0, -1.0]), np.array([0.0, 0.0, 0.0, 1.0]))
+        self._dp = [[p] + [npoly.polyder(p, s) for s in (1, 2, 3)] for p in nums]
+        self._quot_int, self._residues = [], []
         if k != 0.0:
-            quot, rem = npoly.polydiv(self._p, self._q)
-            self._quot_int = npoly.polyint(quot)
             disc = math.sqrt(k * k + 4.0 * k)
-            r1 = (k + disc) / (2.0 * k)
-            r2 = (k - disc) / (2.0 * k)
-            self._roots = (r1, r2)
+            self._roots = ((k + disc) / (2.0 * k), (k - disc) / (2.0 * k))
             dq = npoly.polyder(self._q)
-            self._residues = tuple(
-                npoly.polyval(r, rem) / npoly.polyval(r, dq) for r in (r1, r2)
-            )
+            for p in nums:
+                quot, rem = npoly.polydiv(p, self._q)
+                self._quot_int.append(npoly.polyint(quot))
+                self._residues.append(tuple(npoly.polyval(r, rem) / npoly.polyval(r, dq)
+                                            for r in self._roots))
         else:
-            self._quot_int = npoly.polyint(self._p)
             self._roots = ()
-            self._residues = ()
+            for p in nums:
+                self._quot_int.append(npoly.polyint(p))
+                self._residues.append(())
 
     def _qder(self, s: int, t):
         if s == 0:
@@ -180,27 +208,31 @@ class RationalCubic:
             return np.full_like(t, -2.0 * self.k)
         return np.zeros_like(t)
 
-    def _pder(self, s: int, t):
-        if s > 3:
-            return np.zeros_like(t)
-        return npoly.polyval(t, npoly.polyder(self._p, s) if s else self._p)
+    def jet(self, R: int, t, lo: int = 0) -> list:
+        # the recurrence needs every lower order
+        t = t[()]
+        dq = []
+        for s in range(R + 1):
+            dq.append(self._qder(s, t))
+        cols = []
+        for dp in self._dp:
+            fs = []
+            for rr in range(R + 1):
+                acc = (npoly.polyval(t, dp[rr]) if rr <= 3
+                       else np.zeros_like(t)).astype(float)
+                for s in range(rr):
+                    acc -= math.comb(rr, s) * fs[s] * dq[rr - s]
+                fs.append(acc / dq[0])
+            cols.append(fs[lo:])
+        return cols
 
-    def deriv(self, r: int, t):
-        t = np.asarray(t, dtype=float)
-        q0 = self._qder(0, t)
-        fs = []
-        for rr in range(r + 1):
-            acc = self._pder(rr, t).astype(float)
-            for s in range(rr):
-                acc -= math.comb(rr, s) * fs[s] * self._qder(rr - s, t)
-            fs.append(acc / q0)
-        return fs[r]
-
-    def antideriv(self, t):
-        t = np.asarray(t, dtype=float)
-        out = npoly.polyval(t, self._quot_int)
-        for root, res in zip(self._roots, self._residues):
-            out = out + res * np.log(np.abs(t - root))
+    def antideriv(self, t) -> list:
+        out = []
+        for quot_int, residues in zip(self._quot_int, self._residues):
+            val = npoly.polyval(t, quot_int)
+            for root, res in zip(self._roots, residues):
+                val = val + res * np.log(np.abs(t - root))
+            out.append(val)
         return out
 
 
@@ -218,12 +250,8 @@ class Family:
     qec: bool = False                     # may need probed vanishing orders
 
 
-def _poly_block(order: int, count: int) -> list:
-    return [Monomial(k) for k in range(count)]
-
-
 def _build_polynomial(params, order):
-    return _poly_block(order, order)
+    return [Monomials(order)]
 
 
 def _check(cond: bool, msg: str):
@@ -251,8 +279,7 @@ def _validate_trig(params, order, local_len):
 
 
 def _build_trig(params, order):
-    theta = params["theta"]
-    return _poly_block(order, order - 2) + [Trig(theta, 0.0), Trig(theta, -_HALF_PI)]
+    return [Monomials(order - 2), Trigs(params["theta"])]
 
 
 def _validate_hyp(params, order, local_len):
@@ -261,8 +288,7 @@ def _validate_hyp(params, order, local_len):
 
 
 def _build_hyp(params, order):
-    phi = params["phi"]
-    return _poly_block(order, order - 2) + [Hyp(phi, "cosh"), Hyp(phi, "sinh")]
+    return [Monomials(order - 2), Hyps(params["phi"])]
 
 
 def _validate_mixed(params, order, local_len):
@@ -275,10 +301,7 @@ def _validate_mixed(params, order, local_len):
 
 
 def _build_mixed(params, order):
-    theta, phi = params["theta"], params["phi"]
-    return (_poly_block(order, order - 4)
-            + [Trig(theta, 0.0), Trig(theta, -_HALF_PI),
-               Hyp(phi, "cosh"), Hyp(phi, "sinh")])
+    return [Monomials(order - 4), Trigs(params["theta"]), Hyps(params["phi"])]
 
 
 def _validate_envelope(params, order, local_len):
@@ -291,9 +314,7 @@ def _validate_envelope(params, order, local_len):
 
 def _build_envelope(params, order):
     theta = params["theta"]
-    return (_poly_block(order, order - 4)
-            + [Trig(theta, 0.0), Trig(theta, -_HALF_PI),
-               TTrig(theta, 0.0), TTrig(theta, -_HALF_PI)])
+    return [Monomials(order - 4), Trigs(theta), TTrigs(theta)]
 
 
 def _validate_rational(params, order, local_len):
@@ -302,8 +323,7 @@ def _validate_rational(params, order, local_len):
 
 
 def _build_rational(params, order):
-    nu = params["nu"]
-    return [Monomial(0), Monomial(1), RationalCubic(nu, True), RationalCubic(nu, False)]
+    return [Monomials(2), RationalCubics(params["nu"])]
 
 
 def _validate_multifreq(params, order, local_len):
@@ -317,9 +337,7 @@ def _validate_multifreq(params, order, local_len):
 
 def _build_multifreq(params, order):
     theta = params["theta"]
-    return [Monomial(0),
-            Trig(theta, 0.0), Trig(theta, -_HALF_PI),
-            Trig(2.0 * theta, 0.0), Trig(2.0 * theta, -_HALF_PI)]
+    return [Monomials(1), Trigs(theta), Trigs(2.0 * theta)]
 
 
 def _validate_vardeg(params, order, local_len):
@@ -331,8 +349,7 @@ def _validate_vardeg(params, order, local_len):
 
 
 def _build_vardeg(params, order):
-    n1, n2 = params["n1"], params["n2"]
-    return _poly_block(order, order - 2) + [Power(n1, True), Power(n2, False)]
+    return [Monomials(order - 2), Powers(params["n1"], params["n2"])]
 
 
 FAMILIES: dict[str, Family] = {
@@ -388,11 +405,11 @@ class ECSection:
     local_map: str
     anchor: float
     scale: float
-    _gens: list = field(repr=False, compare=False, default=None)
+    _blocks: list = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        gens = _BUILDERS[self.family](self.params, self.order)
-        object.__setattr__(self, "_gens", gens)
+        blocks = _BUILDERS[self.family](self.params, self.order)
+        object.__setattr__(self, "_blocks", blocks)
 
     # -- local coordinate -------------------------------------------------
     def to_local(self, x):
@@ -407,28 +424,45 @@ class ECSection:
         """Derivative of order r of generator h (1-based) at x, in x-units."""
         if not 1 <= h <= self.order:
             raise InvalidSectionError(f"generator index {h} out of range 1..{self.order}")
-        t = self.to_local(x)
-        return self.scale ** r * self._gens[h - 1].deriv(r, t)
+        return self.eval_all(r, x)[h - 1]
+
+    def jet(self, R: int, x) -> np.ndarray:
+        """Rows D^0 .. D^R of all generators at x, in x-units: shape
+        (R+1, m) at one point, (R+1, m, n) at n points."""
+        return self._rows(0, R, x)
 
     def eval_all(self, r: int, x) -> np.ndarray:
-        """Row vector (D^r u_1(x), ..., D^r u_m(x))."""
-        t = self.to_local(x)
-        s = self.scale ** r
-        return np.array([s * g.deriv(r, t) for g in self._gens], dtype=float)
+        """Row vector (D^r u_1(x), ..., D^r u_m(x)), which is jet(r, x)[r]."""
+        return self._rows(r, r, x)[0]
+
+    def _rows(self, lo: int, R: int, x) -> np.ndarray:
+        """Rows D^lo .. D^R of the jet; the orders below lo are skipped
+        where no recurrence needs them."""
+        t = np.asarray(self.to_local(x), dtype=float)
+        cols = []
+        for block in self._blocks:
+            cols += block.jet(R, t, lo)
+        J = np.array(cols, dtype=float).swapaxes(0, 1)
+        if R:                           # D^r picks up scale**r; rows contiguous
+            J = np.ascontiguousarray(J)
+            for r in range(max(lo, 1), R + 1):
+                J[r - lo] *= self.scale ** r
+        return J
 
     def integral(self, h: int, x) -> float:
         """Integral of generator h from the section's left endpoint to x."""
         if not 1 <= h <= self.order:
             raise InvalidSectionError(f"generator index {h} out of range 1..{self.order}")
-        g = self._gens[h - 1]
-        t0 = self.to_local(self.interval[0])
-        return float((g.antideriv(self.to_local(x)) - g.antideriv(t0)) / self.scale)
+        return float(self.integral_all(x)[h - 1])
 
     def integral_all(self, x) -> np.ndarray:
-        t0 = self.to_local(self.interval[0])
-        t = self.to_local(x)
-        return np.array([(g.antideriv(t) - g.antideriv(t0)) / self.scale
-                         for g in self._gens], dtype=float)
+        """Integrals of all generators from the section's left endpoint to x."""
+        t = np.asarray(self.to_local(x), dtype=float)
+        t0 = np.asarray(self.to_local(self.interval[0]), dtype=float)
+        a = [u for block in self._blocks for u in block.antideriv(t)]
+        a0 = [u for block in self._blocks for u in block.antideriv(t0)]
+        return np.array([(u - u0) / self.scale for u, u0 in zip(a, a0)],
+                        dtype=float)
 
     # -- geometry ----------------------------------------------------------
     def translated(self, dx: float) -> "ECSection":

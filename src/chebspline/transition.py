@@ -10,9 +10,11 @@ coefficients of f_i on every section it crosses.
 
 from __future__ import annotations
 
+import logging
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +24,12 @@ from .sections import ECSection
 
 # largest relative residual a solved transition row may keep
 RESIDUAL_TOL = 1e-8
+
+# rows per stacked solve: enough to spread LAPACK's cost per call, few
+# enough that the stacked temporaries stay small next to the table
+_STACK_ROWS = 64
+
+_log = logging.getLogger("chebspline")
 
 
 # ---------------------------------------------------------------------------
@@ -73,72 +81,159 @@ def solve_ramp(sections: Sequence[ECSection], points: Sequence[float],
 
     Returns per-piece coefficient vectors plus a conditioning report.
     """
-    P = len(sections)
-    orders = [s.order for s in sections]
+    if connections is None:
+        connections = [None] * (len(sections) - 1)
+    spec = RowSpec(index, float(points[0]), float(points[-1]), 0,
+                   tuple(sections), tuple(points), left_count,
+                   tuple(interior_counts), right_count, tuple(connections))
+    row, rep = solve_space_row(spec)
+    return list(row.pieces), rep
+
+
+def _hermite_system(spec: RowSpec, jet) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of spec's Hermite system.  jet(k, end, cnt)
+    gives the derivative rows D^0 .. D^(cnt-1) of piece k at its left
+    (end 0) or right (end 1) point."""
+    pieces, index = spec.pieces, spec.index
+    P = len(pieces)
+    orders = [s.order for s in pieces]
     n = sum(orders)
-    rows = left_count + sum(interior_counts) + right_count
+    rows = spec.left + sum(spec.interior) + spec.right
     if rows != n:
         raise SingularSystemError(
             f"transition system for f_{index} is not square: "
             f"{rows} conditions for {n} unknowns", index=index)
-    offs = np.concatenate([[0], np.cumsum(orders)]).astype(int)
+    offs = [0, *accumulate(orders)]
     A = np.zeros((n, n))
     c = np.zeros(n)
-    r0 = 0
-    for r in range(left_count):
-        A[r0, offs[0]:offs[1]] = sections[0].eval_all(r, points[0])
-        r0 += 1
+    r0 = spec.left
+    A[:r0, offs[0]:offs[1]] = jet(0, 0, r0)
     for j in range(P - 1):
-        cnt = interior_counts[j]
-        x = points[j + 1]
-        M = None if connections is None else connections[j]
-        left_block = np.array([sections[j].eval_all(r, x)
-                               for r in range(cnt)])
+        cnt = spec.interior[j]
+        M = spec.connections[j]
+        left_block = jet(j, 1, cnt)
         if M is not None:
             M = np.asarray(M, dtype=float)
             if M.shape[0] < cnt:
                 raise ConnectionMatrixError(
-                    f"connection matrix at x={x} has order {M.shape[0]}, "
-                    f"need at least {cnt}")
+                    f"connection matrix at x={spec.points[j + 1]} has order "
+                    f"{M.shape[0]}, need at least {cnt}")
             left_block = M[:cnt, :cnt] @ left_block
-        for r in range(cnt):
-            A[r0, offs[j]:offs[j + 1]] = left_block[r]
-            A[r0, offs[j + 1]:offs[j + 2]] = -sections[j + 1].eval_all(r, x)
-            r0 += 1
-    for r in range(right_count):
-        A[r0, offs[P - 1]:offs[P]] = sections[P - 1].eval_all(r, points[P])
-        c[r0] = 1.0 if r == 0 else 0.0
-        r0 += 1
+        A[r0:r0 + cnt, offs[j]:offs[j + 1]] = left_block
+        A[r0:r0 + cnt, offs[j + 1]:offs[j + 2]] = -jet(j + 1, 0, cnt)
+        r0 += cnt
+    A[r0:, offs[P - 1]:] = jet(P - 1, 1, spec.right)
+    if spec.right:
+        c[r0] = 1.0
+    return A, c
 
-    row_s = np.abs(A).max(axis=1)
-    row_s[row_s == 0] = 1.0
-    A_eq = A / row_s[:, None]
-    col_s = np.abs(A_eq).max(axis=0)
-    col_s[col_s == 0] = 1.0
-    A_eq = A_eq / col_s[None, :]
-    c_eq = c / row_s
 
-    cond = float(np.linalg.cond(A_eq, 1))
-    try:
-        y = np.linalg.solve(A_eq, c_eq)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"transition system for f_{index} is singular "
-            f"(condition estimate {cond:.3e}); the space does not admit a "
-            f"numerically usable B-spline basis", index=index,
-            condition=cond) from exc
-    b = y / col_s
-    res = A @ b - c
-    denom = np.linalg.norm(A, np.inf) * np.linalg.norm(b, np.inf) + 1.0
-    rel = float(np.linalg.norm(res, np.inf) / denom)
-    if rel > RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"transition system for f_{index} solved with relative residual "
-            f"{rel:.3e} > {RESIDUAL_TOL:.1e} (condition {cond:.3e}); the "
-            f"space is too ill conditioned for a usable B-spline basis",
-            index=index, condition=cond, residual=rel)
-    coeffs = [b[offs[j]:offs[j + 1]].copy() for j in range(P)]
-    return coeffs, RowReport(index, n, cond, rel)
+def _solve_rows(specs: Sequence[RowSpec]
+                ) -> tuple[list[tuple[TransitionRow, RowReport | None]], int, int]:
+    """Solve the rows of one table: (row, report) per spec in order, the
+    number of stacked solves and the number of generator jets evaluated.
+
+    The specs share one grid, so the conditions at a section end come from
+    one jet, evaluated on first use.  The rows are solved _STACK_ROWS at a
+    time, in spec order, and the first failing row raises, as it would
+    alone.
+    """
+    jets: dict[tuple[int, int], np.ndarray] = {}
+
+    def jet_of(spec):
+        def jet(k, end, cnt):
+            sec = spec.pieces[k]
+            if not cnt:
+                return np.zeros((0, sec.order))
+            key = (spec.first_piece + k, end)
+            J = jets.get(key)
+            if J is None or len(J) < cnt:
+                J = jets[key] = sec.jet(max(sec.order, cnt) - 1,
+                                        spec.points[k + end])
+            return J[:cnt]
+        return jet
+
+    out, stacks = [], 0
+    for lo in range(0, len(specs), _STACK_ROWS):
+        rows, n = _solve_stacked(specs[lo:lo + _STACK_ROWS], jet_of)
+        out += rows
+        stacks += n
+    return out, stacks, len(jets)
+
+
+def _solve_stacked(specs: Sequence[RowSpec], jet_of
+                   ) -> tuple[list[tuple[TransitionRow, RowReport | None]], int]:
+    """(row, report) per spec, and the number of stacks.  Systems of equal
+    size are equilibrated and solved as one stack; a stack LAPACK rejects is
+    solved row by row."""
+    systems: list = []            # (A, c) per ramp row, None per step row
+    groups: dict[int, list[int]] = {}         # size -> rows, in spec order
+    for g, spec in enumerate(specs):
+        try:
+            sys_ = _hermite_system(spec, jet_of(spec)) if spec.pieces else None
+        except Exception as exc:  # raised below, once earlier rows are solved
+            sys_ = exc
+        systems.append(sys_)
+        if isinstance(sys_, tuple):
+            groups.setdefault(len(sys_[1]), []).append(g)
+    solved: dict[int, tuple] = {}             # g -> (cond, y or error, col_s)
+    for idx in groups.values():
+        A = np.stack([systems[g][0] for g in idx])
+        row_s = np.abs(A).max(axis=2)
+        row_s[row_s == 0] = 1.0
+        A_eq = A / row_s[:, :, None]
+        col_s = np.abs(A_eq).max(axis=1)
+        col_s[col_s == 0] = 1.0
+        A_eq = A_eq / col_s[:, None, :]
+        c_eq = np.stack([systems[g][1] for g in idx]) / row_s
+        cond = np.linalg.cond(A_eq, 1)
+        try:
+            ys = list(np.linalg.solve(A_eq, c_eq[:, :, None])[:, :, 0])
+        except np.linalg.LinAlgError:
+            ys = []
+            for a, b in zip(A_eq, c_eq):
+                try:
+                    ys.append(np.linalg.solve(a, b))
+                except np.linalg.LinAlgError as exc:
+                    ys.append(exc)
+        for k, g in enumerate(idx):
+            solved[g] = (float(cond[k]), ys[k], col_s[k])
+
+    out = []
+    for g, spec in enumerate(specs):
+        sys_ = systems[g]
+        if sys_ is None:
+            out.append((TransitionRow(spec.index, "step", spec.start, spec.stop,
+                                      spec.first_piece, ()), None))
+            continue
+        if isinstance(sys_, Exception):
+            raise sys_
+        A, c = sys_
+        cond, y, col_s = solved[g]
+        index = spec.index
+        if isinstance(y, Exception):
+            raise SingularSystemError(
+                f"transition system for f_{index} is singular "
+                f"(condition estimate {cond:.3e}); the space does not admit a "
+                f"numerically usable B-spline basis", index=index,
+                condition=cond) from y
+        b = y / col_s
+        res = A @ b - c
+        denom = np.linalg.norm(A, np.inf) * np.linalg.norm(b, np.inf) + 1.0
+        rel = float(np.linalg.norm(res, np.inf) / denom)
+        if rel > RESIDUAL_TOL:
+            raise SingularSystemError(
+                f"transition system for f_{index} solved with relative residual "
+                f"{rel:.3e} > {RESIDUAL_TOL:.1e} (condition {cond:.3e}); the "
+                f"space is too ill conditioned for a usable B-spline basis",
+                index=index, condition=cond, residual=rel)
+        offs = [0, *accumulate(s.order for s in spec.pieces)]
+        coeffs = tuple(b[offs[j]:offs[j + 1]].copy()
+                       for j in range(len(spec.pieces)))
+        out.append((TransitionRow(index, "ramp", spec.start, spec.stop,
+                                  spec.first_piece, coeffs),
+                    RowReport(index, len(b), cond, rel)))
+    return out, len(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -299,34 +394,38 @@ def _row_spec(grid: np.ndarray, sections: list[ECSection], starts, ends,
 
 def solve_space_row(spec: RowSpec) -> tuple[TransitionRow, RowReport | None]:
     """Solve the Hermite system of one row; a step row solves nothing."""
-    if not spec.pieces:
-        return TransitionRow(spec.index, "step", spec.start, spec.stop,
-                             spec.first_piece, ()), None
-    coeffs, rep = solve_ramp(spec.pieces, spec.points, spec.left, spec.interior,
-                             spec.right, spec.connections, index=spec.index)
-    return TransitionRow(spec.index, "ramp", spec.start, spec.stop,
-                         spec.first_piece, tuple(coeffs)), rep
+    return _solve_rows([spec])[0][0]
 
 
 def _assemble_table(space, known: dict) -> TransitionTable:
     """The table of a single- or multi-order space.  A row whose spec key is
     in known (key -> (row, report) of another table) is copied from there;
-    the others are solved."""
+    the others are solved together by _solve_rows."""
     grid, specs = space._row_specs()
+    hits = {i: known.get(spec.key) for i, spec in specs.items()}
+    todo = [spec for i, spec in specs.items() if hits[i] is None]
+    solved, stacks, jets = _solve_rows(todo)
+    fresh = iter(solved)
     rows: dict[int, TransitionRow] = {}
     reports: dict[int, RowReport] = {}
     for i, spec in specs.items():
-        hit = known.get(spec.key)
+        hit = hits[i]
         if hit is None:
-            row, rep = solve_space_row(spec)
+            row, rep = next(fresh)
         else:
             row = replace(hit[0], index=i, first_piece=spec.first_piece)
             rep = None if hit[1] is None else replace(hit[1], index=i)
         rows[i] = row
         if rep is not None:
             reports[i] = rep
-    return TransitionTable(max(s.order for s in space.sections), space.dim,
-                           grid, space.sections, rows, reports)
+    table = TransitionTable(max(s.order for s in space.sections), space.dim,
+                            grid, space.sections, rows, reports)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("transition table: %d rows solved, %d copied, %d stacked "
+                   "solves, %d jets evaluated, max condition %.3e",
+                   sum(rep is not None for _, rep in solved),
+                   len(specs) - len(todo), stacks, jets, table.max_condition)
+    return table
 
 
 def build_transition_table(space) -> TransitionTable:

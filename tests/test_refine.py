@@ -284,9 +284,10 @@ def test_remove_knot_resolves_only_rows_crossing_it(m, monkeypatch):
     spline = random_spline(space, np.random.default_rng(16))
     step, fine = insert_knot(space, spline, 1.1)         # now 12 intervals
     solved = []
-    solve = transition.solve_space_row
-    monkeypatch.setattr(transition, "solve_space_row",
-                        lambda spec: solved.append(spec.index) or solve(spec))
+    solve = transition._solve_rows
+    monkeypatch.setattr(transition, "_solve_rows",
+                        lambda specs: solved.extend(s.index for s in specs)
+                        or solve(specs))
     coarse, back, resid = remove_knot(step.space, fine, 1.1)
     assert resid < 1e-10
     # only the rows crossing the merged interval see a new system

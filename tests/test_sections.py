@@ -145,3 +145,121 @@ def test_restricted_pieces_stay_in_parent_space():
                 _, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
                 resid = np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
                 assert resid < 1e-9
+
+
+# -- jets --------------------------------------------------------------------
+# The generators of each family, and each derivative order written out on
+# its own: the arithmetic every jet row must reproduce bit for bit.
+
+HALF_PI = 0.5 * math.pi
+
+
+def _generators(family, params, m):
+    # every family's entry is built; parameters it lacks read 1
+    p = {"theta": 1.0, "phi": 1.0, "nu": 1.0, "n1": 1.0, "n2": 1.0, **(params or {})}
+    mono = [("mono", k) for k in range(m)]
+    th = p["theta"]
+    trig = [("trig", th, 0.0), ("trig", th, -HALF_PI)]
+    hyp = [("hyp", p["phi"], "cosh"), ("hyp", p["phi"], "sinh")]
+    return {
+        "polynomial": mono,
+        "trigonometric": mono[:m - 2] + trig,
+        "hyperbolic": mono[:m - 2] + hyp,
+        "mixed": mono[:m - 4] + trig + hyp,
+        "trig-envelope": mono[:m - 4] + trig
+        + [("ttrig", th, 0.0), ("ttrig", th, -HALF_PI)],
+        "rational-tension": mono[:2] + [("rat", p["nu"], True),
+                                        ("rat", p["nu"], False)],
+        "multi-frequency-trig": mono[:1] + trig
+        + [("trig", 2.0 * th, 0.0), ("trig", 2.0 * th, -HALF_PI)],
+        "variable-degree": mono[:m - 2] + [("pow", float(p["n1"]), True),
+                                           ("pow", float(p["n2"]), False)],
+    }[family]
+
+
+def _order_r(gen, r, t):
+    t = np.asarray(t, dtype=float)
+    kind = gen[0]
+    if kind == "mono":
+        k = gen[1]
+        if r > k:
+            return np.zeros_like(t)
+        return math.perm(k, r) * t ** (k - r)
+    if kind == "trig":
+        th, p = gen[1:]
+        return th ** r * np.cos(th * t + p + r * HALF_PI)
+    if kind == "ttrig":
+        th, p = gen[1:]
+        out = t * th ** r * np.cos(th * t + p + r * HALF_PI)
+        if r >= 1:
+            out = out + r * th ** (r - 1) * np.cos(th * t + p + (r - 1) * HALF_PI)
+        return out
+    if kind == "hyp":
+        phi, fn = gen[1:]
+        use_cosh = (r % 2 == 0) == (fn == "cosh")
+        return phi ** r * (np.cosh if use_cosh else np.sinh)(phi * t)
+    if kind == "pow":
+        n, mirror = gen[1:]
+        if n.is_integer() and r > int(n):
+            return np.zeros_like(t)
+        c = 1.0
+        for j in range(r):
+            c *= n - j
+        base = (1.0 - t) if mirror else t
+        sign = (-1.0) ** r if mirror else 1.0
+        with np.errstate(divide="ignore"):
+            return sign * c * base ** (n - r)
+    assert kind == "rat"
+    nu, mirror = gen[1:]
+    k = nu - 3.0
+    num = np.array([1.0, -3.0, 3.0, -1.0] if mirror else [0.0, 0.0, 0.0, 1.0])
+    poly = np.polynomial.polynomial
+
+    def qder(s):
+        if s == 0:
+            return poly.polyval(t, np.array([1.0, k, -k]))
+        if s == 1:
+            return k - 2.0 * k * t
+        return np.full_like(t, -2.0 * k) if s == 2 else np.zeros_like(t)
+
+    fs = []
+    for rr in range(r + 1):
+        acc = (poly.polyval(t, poly.polyder(num, rr) if rr else num)
+               if rr <= 3 else np.zeros_like(t)).astype(float)
+        for s in range(rr):
+            acc -= math.comb(rr, s) * fs[s] * qder(rr - s)
+        fs.append(acc / qder(0))
+    return fs[r]
+
+
+JET_SECTIONS = [
+    ("polynomial", None, 4, None),
+    ("trigonometric", {"theta": 2.0}, 4, None),
+    ("hyperbolic", {"phi": 3.0}, 3, None),
+    ("mixed", {"theta": 1.5, "phi": 2.5}, 6, None),
+    ("trig-envelope", {"theta": 3.0}, 5, None),
+    ("rational-tension", {"nu": 3.0}, 4, None),
+    ("rational-tension", {"nu": 7.5}, 4, None),
+    ("multi-frequency-trig", {"theta": 1.2}, 5, None),
+    ("variable-degree", {"n1": 5.0, "n2": 7.0}, 4, None),
+    ("variable-degree", {"n1": 3.5, "n2": 4.25}, 4, None),
+    ("mixed", {"theta": 1.5, "phi": 2.5}, 5, "normalized"),
+]
+
+
+@pytest.mark.parametrize("family, params, order, lmap", JET_SECTIONS)
+def test_jet_rows_are_the_one_order_formulas(family, params, order, lmap):
+    sec = make_section(family, params, (0.3, 0.9), order, lmap)
+    gens = _generators(family, params, order)
+    lo, hi = sec.interval
+    xs = np.array([lo, 0.47, 0.8, hi])
+    for x in (lo, hi, xs):
+        t = sec.to_local(x)
+        for R in range(order + 3):
+            J = sec.jet(R, x)
+            assert J.shape == (R + 1, order) + np.shape(x)
+            for r in range(R + 1):
+                want = np.array([sec.scale ** r * _order_r(g, r, t) for g in gens],
+                                dtype=float)
+                assert J[r].tobytes() == want.tobytes(), (x, R, r)
+                assert sec.eval_all(r, x).tobytes() == want.tobytes()

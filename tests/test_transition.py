@@ -1,13 +1,19 @@
+import logging
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chebspline import (build_extended_partition, make_section,
-                        make_spline_space, one_section_space,
-                        sample_transitions, validate_connection_matrix)
-from chebspline.errors import ConnectionMatrixError
+from chebspline import (Spline, build_extended_partition,
+                        build_transition_table, insert_knot, make_section,
+                        make_spline_space, one_section_space, remove_knot,
+                        sample_transitions, transition,
+                        validate_connection_matrix)
+from chebspline.errors import ConnectionMatrixError, SingularSystemError
+from chebspline.sections import ECSection
 
 
 def bernstein_table():
@@ -119,3 +125,120 @@ def test_connection_matrix_validation():
         validate_connection_matrix([[1.0, 0.5], [0.0, 1.0]], 2)    # not lower
     with pytest.raises(ConnectionMatrixError):
         validate_connection_matrix(np.eye(3), 2)                   # wrong size
+
+
+# -- one jet per section end, one stacked solve per row size ------------------
+
+def trig_space(n_intervals, order=4, theta=1.0):
+    part = build_extended_partition(np.linspace(0.0, 2.0, n_intervals + 1),
+                                    [1] * (n_intervals - 1), order)
+    secs = [make_section("trigonometric", {"theta": theta},
+                         (part.grid[j], part.grid[j + 1]), order, "normalized")
+            for j in range(part.num_sections)]
+    return make_spline_space(part, secs)
+
+
+def count_jets(monkeypatch, only_while_solving=False):
+    """Record (section, x) of every ECSection.jet call, or only of those made
+    while transition._solve_rows runs; also record the specs it solves."""
+    calls, solved, active = [], [], []
+    jet, solve = ECSection.jet, transition._solve_rows
+
+    def counted_jet(self, R, x):
+        if active or not only_while_solving:
+            calls.append((self, float(x)))
+        return jet(self, R, x)
+
+    def counted_solve(specs):
+        solved.extend(specs)
+        active.append(True)
+        try:
+            return solve(specs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(ECSection, "jet", counted_jet)
+    monkeypatch.setattr(transition, "_solve_rows", counted_solve)
+    return calls, solved
+
+
+def test_fresh_table_evaluates_each_section_end_once(monkeypatch):
+    space = trig_space(12)
+    calls, _ = count_jets(monkeypatch)
+    table = build_transition_table(space)
+    per_section = Counter(id(sec) for sec, _ in calls)
+    assert len(calls) == len({(id(sec), x) for sec, x in calls})
+    assert max(per_section.values()) <= 2
+    assert len(calls) <= 2 * len(table.sections)
+    for sec, x in calls:
+        assert x in sec.interval
+
+
+def test_removal_evaluates_jets_only_where_rows_are_resolved(monkeypatch):
+    space = trig_space(11)
+    spline = Spline(space, np.random.default_rng(3).normal(size=(space.dim, 2)))
+    step, fine = insert_knot(space, spline, 1.1)
+    calls, solved = count_jets(monkeypatch, only_while_solving=True)
+    coarse, _, _ = remove_knot(step.space, fine, 1.1)
+    sections = coarse.table.sections
+    touched = {j for spec in solved
+               for j in range(spec.first_piece, spec.first_piece + len(spec.pieces))}
+    assert solved and calls
+    assert len(touched) < len(sections)
+    for sec, x in calls:
+        j = next(j for j, s in enumerate(sections) if s is sec)
+        assert j in touched and x in sec.interval
+
+
+def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
+    space = trig_space(10)
+    _, specs = space._row_specs()
+    bad = 7
+    sizes = Counter(sum(s.order for s in spec.pieces) for spec in specs.values())
+    assert sizes[sum(s.order for s in specs[bad].pieces)] > 1
+    system = transition._hermite_system
+
+    def broken(spec, jet):
+        if spec.index == bad + 2:
+            raise ConnectionMatrixError("a later row fails while assembling")
+        A, c = system(spec, jet)
+        if spec.index == bad:
+            A[:, 0] = 0.0
+        return A, c
+
+    monkeypatch.setattr(transition, "_hermite_system", broken)
+    with pytest.raises(SingularSystemError) as stacked:
+        build_transition_table(space)
+    for spec in specs.values():
+        try:
+            transition.solve_space_row(spec)
+        except SingularSystemError as exc:
+            alone = exc
+            break
+    for e in (stacked.value, alone):
+        assert e.index == bad and "is singular" in str(e)
+    assert str(stacked.value) == str(alone)
+    assert (stacked.value.condition, stacked.value.residual) == \
+        (alone.condition, alone.residual)
+
+
+def test_table_assembly_logs_one_debug_record(caplog):
+    space = trig_space(8)
+    spline = Spline(space, np.ones((space.dim, 1)))
+    with caplog.at_level(logging.INFO, logger="chebspline"):
+        table = space.table
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="chebspline"):
+        build_transition_table(space)
+        insert_knot(space, spline, 0.3)
+    fresh, refined = [
+        [float(v) for v in re.findall(r"\d[\d.e+-]*", r.getMessage())]
+        for r in caplog.records if r.name == "chebspline"]
+    ramps = sum(row.kind == "ramp" for row in table.rows.values())
+    sizes = {rep.size for rep in table.reports.values()}
+    # rows solved, rows copied, stacked solves (one per row size here),
+    # jets evaluated, max condition
+    assert fresh == [ramps, 0, len(sizes), 2 * len(table.sections),
+                     float(f"{table.max_condition:.3e}")]
+    assert 0 < refined[0] < ramps and refined[1] > 0
+    assert refined[3] < 2 * len(table.sections)
