@@ -35,8 +35,7 @@ from .refine import (BezierSegments, ElevationStep, RefinementStep,
 from .sections import (ECSection, FAMILIES, make_section, merge_sections,
                        split_section)
 from .transition import (RowReport, TransitionRow, TransitionTable,
-                         build_transition_table, solve_ramp, solve_space_row,
-                         validate_connection_matrix)
+                         build_transition_table, validate_connection_matrix)
 
 __version__ = "0.1.0"
 

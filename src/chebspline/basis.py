@@ -196,11 +196,13 @@ def eval_spline_derivative(spline: Spline, r: int, x: float,
 
 
 def integrate_spline(spline: Spline, x0: float, x1: float) -> np.ndarray:
-    """Exact integral of the spline over [x0, x1] via antiderivatives."""
+    """Exact integral of the spline over [x0, x1] via antiderivatives;
+    bounds outside [a, b] raise as the evaluators do."""
     if x0 > x1:
         raise ValueError("integration bounds must satisfy x0 <= x1")
     space = spline.space
     table = space.table
+    _interval_index(table.grid, np.array([x0, x1]), "right", space.a, space.b)
     out = np.zeros(spline.dim_target)
     for i in range(1, space.dim + 1):
         w = table.integral(i, x0, x1) - table.integral(i + 1, x0, x1)

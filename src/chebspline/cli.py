@@ -79,6 +79,22 @@ def _artifact(path: str, fmt: str) -> str:
     return path if path.lower().endswith("." + fmt) else _stem(path) + "." + fmt
 
 
+def _load(input_path: str, kind, need: str):
+    """The object input_path describes; a DescriptorError with the message
+    need unless it is a kind."""
+    obj = dsc.load_object(input_path)
+    if not isinstance(obj, kind):
+        raise DescriptorError(need)
+    return obj
+
+
+def _save(output_path: str, before: Spline, after: Spline) -> None:
+    """Write after's descriptor and report the change of dimension."""
+    dsc.save_descriptor(output_path, after)
+    click.echo(f"wrote {output_path} "
+               f"(dim {before.space.dim} -> {after.space.dim})")
+
+
 @click.group()
 def main():
     """Piecewise Chebyshevian spline bases, refinement and artifacts."""
@@ -89,25 +105,32 @@ def main():
 # ---------------------------------------------------------------------------
 
 def _basis_data(obj, samples: int):
-    """(xs, basis matrix, transition matrix, transition labels)."""
+    """(xs, basis matrix, transition matrix)."""
     if isinstance(obj, Spline):
         obj = obj.space
     if not isinstance(obj, (SplineSpace, MultiOrderSpace)):
         raise DescriptorError("basis needs a space, spline or multiorder-space "
                               f"descriptor, not {type(obj).__name__}")
     xs = np.linspace(obj.a, obj.b, samples)
-    labels = [f"f_{i}" for i in range(2, obj.dim + 1)]
-    return xs, sample_basis(obj, xs), sample_transitions(obj, xs), labels
+    return xs, sample_basis(obj, xs), sample_transitions(obj, xs)
 
 
-def _write_basis(xs, vals, output_path: str, fmt: str) -> str:
-    out = _artifact(output_path, fmt)
-    names = [f"N_{i}" for i in range(1, vals.shape[1] + 1)]
-    if fmt == "csv":
-        write_csv(out, ["x"] + names, [xs] + [vals[:, j] for j in range(vals.shape[1])])
-    else:
-        write_svg(out, svg_function_plot(xs, [vals[:, j] for j in range(vals.shape[1])]))
-    return out
+def _write_basis(xs, vals, output_path: str, fmt: str,
+                 trans=None) -> list[str]:
+    """Write the basis columns N_1, .. of vals and, when given, the
+    transition columns f_2, .. of trans to the .transitions sibling; returns
+    the paths written."""
+    files = [(_artifact(output_path, fmt), vals, "N", 1)]
+    if trans is not None:
+        files.append((_stem(output_path) + ".transitions." + fmt, trans, "f", 2))
+    for path, data, name, first in files:
+        cols = [data[:, j] for j in range(data.shape[1])]
+        if fmt == "csv":
+            names = [f"{name}_{first + j}" for j in range(len(cols))]
+            write_csv(path, ["x"] + names, [xs] + cols)
+        else:
+            write_svg(path, svg_function_plot(xs, cols))
+    return [path for path, *_ in files]
 
 
 @main.command("basis")
@@ -119,16 +142,9 @@ def _write_basis(xs, vals, output_path: str, fmt: str) -> str:
 def basis_cmd(input_path, output_path, samples, fmt):
     """Sample every B-spline basis function and its transition functions."""
     obj = dsc.load_object(input_path)
-    xs, vals, trans, labels = _basis_data(obj, samples)
-    out = _write_basis(xs, vals, output_path, fmt)
-    sibling = _stem(output_path) + ".transitions." + fmt
-    if fmt == "csv":
-        write_csv(sibling, ["x"] + labels,
-                  [xs] + [trans[:, j] for j in range(trans.shape[1])])
-    else:
-        write_svg(sibling, svg_function_plot(
-            xs, [trans[:, j] for j in range(trans.shape[1])]))
-    click.echo(f"wrote {out} and {sibling} "
+    xs, vals, trans = _basis_data(obj, samples)
+    paths = _write_basis(xs, vals, output_path, fmt, trans)
+    click.echo(f"wrote {' and '.join(paths)} "
                f"({vals.shape[1]} basis functions, {samples} samples)")
 
 
@@ -197,18 +213,14 @@ def eval_cmd(input_path, output_path, samples, fmt, comb):
 @_guarded
 def insert_cmd(input_path, output_path, ats, strategy):
     """Insert knots into a spline, writing the refined descriptor."""
-    spline = dsc.load_object(input_path)
-    if not isinstance(spline, Spline):
-        raise DescriptorError("insert needs a spline descriptor")
+    spline = _load(input_path, Spline, "insert needs a spline descriptor")
     original = spline
     for t in ats:
         step, spline = insert_knot(spline.space, spline, float(t), strategy)
         dev = max_deviation(original, spline)
         click.echo(f"insert t={t:g}: multiplicity {step.mult}, "
                    f"max deviation {dev:.3e}")
-    dsc.save_descriptor(output_path, spline)
-    click.echo(f"wrote {output_path} "
-               f"(dim {original.space.dim} -> {spline.space.dim})")
+    _save(output_path, original, spline)
 
 
 @main.command("elevate")
@@ -220,18 +232,14 @@ def insert_cmd(input_path, output_path, ats, strategy):
 @_guarded
 def elevate_cmd(input_path, output_path, r, strategy):
     """Raise the section order of a spline by r, writing the descriptor."""
-    spline = dsc.load_object(input_path)
-    if not isinstance(spline, Spline):
-        raise DescriptorError("elevate needs a spline descriptor")
+    spline = _load(input_path, Spline, "elevate needs a spline descriptor")
     step, elevated = elevate_order(spline.space, spline, r, strategy=strategy)
     dev = max_deviation(spline, elevated)
     resid = max(step.removal_residuals) if step.removal_residuals else 0.0
-    dsc.save_descriptor(output_path, elevated)
     click.echo(f"elevated order {spline.space.order} -> "
                f"{elevated.space.order}: max deviation {dev:.3e}, "
                f"knot-removal residual {resid:.3e}")
-    click.echo(f"wrote {output_path} "
-               f"(dim {spline.space.dim} -> {elevated.space.dim})")
+    _save(output_path, spline, elevated)
 
 
 @main.command("bezier")
@@ -241,16 +249,12 @@ def elevate_cmd(input_path, output_path, r, strategy):
 @_guarded
 def bezier_cmd(input_path, output_path, strategy):
     """Extract the Bezier form: every interior knot at multiplicity m-1."""
-    spline = dsc.load_object(input_path)
-    if not isinstance(spline, Spline):
-        raise DescriptorError("bezier needs a spline descriptor")
+    spline = _load(input_path, Spline, "bezier needs a spline descriptor")
     bez = to_bezier_segments(spline.space, spline, strategy)
     dev = max_deviation(spline, bez.spline)
-    dsc.save_descriptor(output_path, bez.spline)
     click.echo(f"extracted {len(bez.sections)} segments of order "
                f"{spline.space.order}: max deviation {dev:.3e}")
-    click.echo(f"wrote {output_path} "
-               f"(dim {spline.space.dim} -> {bez.spline.space.dim})")
+    _save(output_path, spline, bez.spline)
 
 
 @main.command("clamp")
@@ -259,16 +263,12 @@ def bezier_cmd(input_path, output_path, strategy):
 @_guarded
 def clamp_cmd(input_path, output_path):
     """Convert a wrap-around (periodic) spline to clamped end knots."""
-    spline = dsc.load_object(input_path)
-    if not isinstance(spline, Spline):
-        raise DescriptorError("clamp needs a spline descriptor")
+    spline = _load(input_path, Spline, "clamp needs a spline descriptor")
     cspace, cspline = periodic_to_clamped(spline.space, spline)
     dev = max_deviation(spline, cspline)
-    dsc.save_descriptor(output_path, cspline)
     click.echo(f"clamped on [{cspace.a:g}, {cspace.b:g}]: "
                f"max deviation {dev:.3e}")
-    click.echo(f"wrote {output_path} "
-               f"(dim {spline.space.dim} -> {cspline.space.dim})")
+    _save(output_path, spline, cspline)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +285,8 @@ def clamp_cmd(input_path, output_path):
 @_guarded
 def surface_cmd(input_path, output_path, samples, fmt, isolines):
     """Sample a tensor-product surface on a uniform parameter grid."""
-    surf = dsc.load_object(input_path)
-    if not isinstance(surf, TensorSurface):
-        raise DescriptorError("surface needs a surface descriptor")
+    surf = _load(input_path, TensorSurface,
+                 "surface needs a surface descriptor")
     us = np.linspace(surf.u_space.a, surf.u_space.b, samples)
     vs = np.linspace(surf.v_space.a, surf.v_space.b, samples)
     out = _artifact(output_path, fmt)

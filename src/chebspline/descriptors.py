@@ -25,6 +25,7 @@ sections after refinement).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +41,18 @@ from .transition import validate_connection_matrix
 
 def _fail(where: str, msg: str) -> None:
     raise DescriptorError(f"{where}: {msg}")
+
+
+@contextmanager
+def _translated(where: str):
+    """Re-raise a kernel error from the block as a DescriptorError that
+    starts with where; descriptor errors pass through as they are."""
+    try:
+        yield
+    except DescriptorError:
+        raise
+    except ChebsplineError as e:
+        raise DescriptorError(f"{where}: {e}") from e
 
 
 def _get(d, key, where, default=None, required=False):
@@ -117,13 +130,9 @@ def section_from_descriptor(d, where: str = "section", *,
         anchor = _number(anchor, f"{where}.anchor")
     if scale is not None:
         scale = _number(scale, f"{where}.scale")
-    try:
+    with _translated(where):
         return make_section(family, params, iv, m, local_map,
                             anchor=anchor, scale=scale)
-    except DescriptorError:
-        raise
-    except ChebsplineError as e:
-        raise DescriptorError(f"{where}: {e}") from e
 
 
 def section_to_descriptor(sec: ECSection, *, implied_order: int | None = None,
@@ -155,7 +164,7 @@ def _partition_from_descriptor(d, where: str) -> ExtendedPartition:
     has_knots = "knots" in d
     if has_bp == has_knots:
         _fail(where, "give exactly one of breakpoints/multiplicities or knots")
-    try:
+    with _translated(where):
         if has_bp:
             bp = _number_list(d["breakpoints"], f"{where}.breakpoints")
             mult = _get(d, "multiplicities", where, required=True)
@@ -169,10 +178,6 @@ def _partition_from_descriptor(d, where: str) -> ExtendedPartition:
         if grid is not None:
             grid = _number_list(grid, f"{where}.grid")
         return partition_from_knots(order, knots, grid)
-    except DescriptorError:
-        raise
-    except ChebsplineError as e:
-        raise DescriptorError(f"{where}: {e}") from e
 
 
 def _connections_from_descriptor(d, part: ExtendedPartition, where: str):
@@ -190,10 +195,8 @@ def _connections_from_descriptor(d, part: ExtendedPartition, where: str):
         if len(hits) != 1 or not 0 < hits[0] < len(part.grid) - 1:
             _fail(f"{w}.at", f"{at} is not an interior break point")
         mu = part.multiplicity_of(float(part.grid[hits[0]]))
-        try:
+        with _translated(f"{w}.matrix"):
             validate_connection_matrix(M, part.order - mu)
-        except ChebsplineError as e:
-            raise DescriptorError(f"{w}.matrix: {e}") from e
         pairs.append((at, M))
     return pairs
 
@@ -213,10 +216,8 @@ def space_from_descriptor(d, where: str = "space") -> SplineSpace:
                 for i, s in enumerate(raw_secs)]
         if "connections" in d:
             _fail(where, "periodic descriptors do not take connection matrices")
-        try:
+        with _translated(where):
             return make_periodic_space(part.order, part.knots, base, period)
-        except ChebsplineError as e:
-            raise DescriptorError(f"{where}: {e}") from e
     if len(raw_secs) != part.num_sections:
         _fail(f"{where}.sections",
               f"need {part.num_sections} sections for this partition, "
@@ -227,12 +228,8 @@ def space_from_descriptor(d, where: str = "space") -> SplineSpace:
         secs.append(section_from_descriptor(s, f"{where}.sections[{i}]",
                                             order=part.order, interval=iv))
     conns = _connections_from_descriptor(d, part, where)
-    try:
+    with _translated(where):
         return make_spline_space(part, secs, conns)
-    except DescriptorError:
-        raise
-    except ChebsplineError as e:
-        raise DescriptorError(f"{where}: {e}") from e
 
 
 def space_to_descriptor(space: SplineSpace) -> dict:
@@ -279,17 +276,13 @@ def spline_from_descriptor(d, where: str = "spline") -> Spline:
     has_free = "free_coefficients" in d
     if has_c == has_free:
         _fail(where, "give exactly one of coefficients or free_coefficients")
-    try:
+    with _translated(where):
         if has_free:
             free = _coefficients(d["free_coefficients"],
                                  f"{where}.free_coefficients")
             return Spline(space, tile_periodic_coefficients(space, free))
         return Spline(space, _coefficients(d["coefficients"],
                                            f"{where}.coefficients"))
-    except DescriptorError:
-        raise
-    except ChebsplineError as e:
-        raise DescriptorError(f"{where}: {e}") from e
 
 
 def spline_to_descriptor(spline: Spline) -> dict:
@@ -314,12 +307,8 @@ def multiorder_from_descriptor(d, where: str = "multiorder-space"
         _fail(f"{where}.continuities", "expected a list")
     cont = [_integer(k, f"{where}.continuities[{i}]")
             for i, k in enumerate(cont)]
-    try:
+    with _translated(where):
         return build_multiorder_space(secs, cont)
-    except DescriptorError:
-        raise
-    except ChebsplineError as e:
-        raise DescriptorError(f"{where}: {e}") from e
 
 
 def multiorder_to_descriptor(mo: MultiOrderSpace) -> dict:
@@ -342,12 +331,8 @@ def surface_from_descriptor(d, where: str = "surface") -> TensorSurface:
         _fail(f"{where}.net", "ragged or non-numeric control net")
     if net.ndim not in (2, 3):
         _fail(f"{where}.net", f"expected 2 or 3 axes, got {net.ndim}")
-    try:
+    with _translated(where):
         return TensorSurface(u, v, net)
-    except DescriptorError:
-        raise
-    except ChebsplineError as e:
-        raise DescriptorError(f"{where}: {e}") from e
 
 
 def surface_to_descriptor(surface: TensorSurface) -> dict:

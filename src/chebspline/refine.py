@@ -38,14 +38,6 @@ class RefinementStep:
     formula: str                # "left" | "right"
     strategy: str
 
-    @property
-    def middle_alphas(self) -> np.ndarray:
-        """The nontrivial alpha_i, i = ell-m+2 .. ell-r+1."""
-        m = self.space.order
-        lo = self.ell - m + 2
-        hi = self.ell - self.mult + 1
-        return self.alphas[lo - 1:hi]
-
 
 def _space_is_qec(space: SplineSpace) -> bool:
     return any(FAMILIES[s.family].qec for s in space.sections)
@@ -77,7 +69,7 @@ def refine_space_structure(space: SplineSpace, that: float,
             f"[{knots[0]}, {knots[-1]}]")
     hit, that = _snap_to_grid(part.grid, that)
     ell = int(np.searchsorted(knots, that, side="right"))
-    mult = int(np.sum(knots == that)) + 1
+    mult = part.multiplicity_of(that) + 1
     limit = m if (that <= part.a or that >= part.b) else m - 1
     if mult > limit:
         raise RefinementError(
@@ -294,8 +286,8 @@ def _check_containment(src: ECSection, dst: ECSection, tol: float = 1e-8):
     lo, hi = src.interval
     xs = np.linspace(lo, hi, 4 * dst.order + 9)
     A = np.array([dst.eval_all(0, x) for x in xs])
-    for h in range(1, src.order + 1):
-        y = np.array([float(src.eval(h, 0, x)) for x in xs])
+    Y = np.array([src.eval_all(0, x) for x in xs])
+    for h, y in enumerate(Y.T, start=1):
         sol, *_ = np.linalg.lstsq(A, y, rcond=None)
         resid = np.abs(A @ sol - y).max()
         if resid > tol * max(1.0, np.abs(y).max()):
@@ -468,15 +460,7 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float,
     coarse_space._table = _reuse_table(space, coarse_space)
     ell = int(np.searchsorted(coarse_part.knots, that, side="right"))
     alphas = _compute_alphas(coarse_space, space, that, ell, mult, "left")
-    n_fine = space.dim
-    n_coarse = coarse_space.dim
-    B = np.zeros((n_fine, n_coarse))
-    for i in range(1, n_fine + 1):
-        a = alphas[i - 1]
-        if i <= n_coarse:
-            B[i - 1, i - 1] = a
-        if i >= 2:
-            B[i - 1, i - 2] += 1.0 - a
+    B = _apply_alphas(alphas, np.eye(coarse_space.dim))
     chat = spline.coefficients
     c, *_ = np.linalg.lstsq(B, chat, rcond=None)
     resid = float(np.abs(B @ c - chat).max())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -244,6 +244,8 @@ class RationalCubics:
 class Family:
     name: str
     default_map: str                      # "shift" | "normalized"
+    validate: Callable                    # (params, order, local length)
+    build: Callable                       # (params, order) -> generator blocks
     forced_map: str | None = None         # map convention that must be used
     affine_invariant: bool = True         # span closed under affine t-substitution
     frequency_params: tuple[str, ...] = ()
@@ -353,40 +355,25 @@ def _build_vardeg(params, order):
 
 
 FAMILIES: dict[str, Family] = {
-    "polynomial": Family("polynomial", "shift"),
-    "trigonometric": Family("trigonometric", "shift", frequency_params=("theta",)),
-    "hyperbolic": Family("hyperbolic", "shift", frequency_params=("phi",)),
-    "mixed": Family("mixed", "shift", frequency_params=("theta", "phi")),
-    "trig-envelope": Family("trig-envelope", "shift", frequency_params=("theta",)),
+    "polynomial": Family("polynomial", "shift", _validate_polynomial,
+                         _build_polynomial),
+    "trigonometric": Family("trigonometric", "shift", _validate_trig,
+                            _build_trig, frequency_params=("theta",)),
+    "hyperbolic": Family("hyperbolic", "shift", _validate_hyp, _build_hyp,
+                         frequency_params=("phi",)),
+    "mixed": Family("mixed", "shift", _validate_mixed, _build_mixed,
+                    frequency_params=("theta", "phi")),
+    "trig-envelope": Family("trig-envelope", "shift", _validate_envelope,
+                            _build_envelope, frequency_params=("theta",)),
     "rational-tension": Family("rational-tension", "normalized",
+                               _validate_rational, _build_rational,
                                forced_map="normalized", affine_invariant=False),
     "multi-frequency-trig": Family("multi-frequency-trig", "shift",
+                                   _validate_multifreq, _build_multifreq,
                                    frequency_params=("theta",)),
-    "variable-degree": Family("variable-degree", "normalized",
-                              forced_map="normalized", affine_invariant=False,
-                              qec=True),
-}
-
-_VALIDATORS = {
-    "polynomial": _validate_polynomial,
-    "trigonometric": _validate_trig,
-    "hyperbolic": _validate_hyp,
-    "mixed": _validate_mixed,
-    "trig-envelope": _validate_envelope,
-    "rational-tension": _validate_rational,
-    "multi-frequency-trig": _validate_multifreq,
-    "variable-degree": _validate_vardeg,
-}
-
-_BUILDERS = {
-    "polynomial": _build_polynomial,
-    "trigonometric": _build_trig,
-    "hyperbolic": _build_hyp,
-    "mixed": _build_mixed,
-    "trig-envelope": _build_envelope,
-    "rational-tension": _build_rational,
-    "multi-frequency-trig": _build_multifreq,
-    "variable-degree": _build_vardeg,
+    "variable-degree": Family("variable-degree", "normalized", _validate_vardeg,
+                              _build_vardeg, forced_map="normalized",
+                              affine_invariant=False, qec=True),
 }
 
 
@@ -408,24 +395,14 @@ class ECSection:
     _blocks: list = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        blocks = _BUILDERS[self.family](self.params, self.order)
+        blocks = FAMILIES[self.family].build(self.params, self.order)
         object.__setattr__(self, "_blocks", blocks)
 
     # -- local coordinate -------------------------------------------------
     def to_local(self, x):
         return (np.asarray(x, dtype=float) - self.anchor) * self.scale
 
-    @property
-    def local_length(self) -> float:
-        return (self.interval[1] - self.interval[0]) * self.scale
-
     # -- evaluation --------------------------------------------------------
-    def eval(self, h: int, r: int, x):
-        """Derivative of order r of generator h (1-based) at x, in x-units."""
-        if not 1 <= h <= self.order:
-            raise InvalidSectionError(f"generator index {h} out of range 1..{self.order}")
-        return self.eval_all(r, x)[h - 1]
-
     def jet(self, R: int, x) -> np.ndarray:
         """Rows D^0 .. D^R of all generators at x, in x-units: shape
         (R+1, m) at one point, (R+1, m, n) at n points."""
@@ -448,12 +425,6 @@ class ECSection:
             for r in range(max(lo, 1), R + 1):
                 J[r - lo] *= self.scale ** r
         return J
-
-    def integral(self, h: int, x) -> float:
-        """Integral of generator h from the section's left endpoint to x."""
-        if not 1 <= h <= self.order:
-            raise InvalidSectionError(f"generator index {h} out of range 1..{self.order}")
-        return float(self.integral_all(x)[h - 1])
 
     def integral_all(self, x) -> np.ndarray:
         """Integrals of all generators from the section's left endpoint to x."""
@@ -515,7 +486,7 @@ def make_section(family: str, params: dict | None, interval: Sequence[float],
         anchor, scale = _map_for(local_map, (x0, x1))
     elif anchor is None or scale is None:
         raise InvalidSectionError("anchor and scale must be given together")
-    _VALIDATORS[family](params, order, (x1 - x0) * scale)
+    fam.validate(params, order, (x1 - x0) * scale)
     return ECSection(family, params, (x0, x1), order, local_map,
                      float(anchor), float(scale))
 
@@ -575,23 +546,26 @@ def merge_sections(left: ECSection, right: ECSection) -> ECSection | None:
 
 # public helpers matching the functional API ------------------------------
 
+def _check_generator(section: ECSection, h: int, x) -> None:
+    """Raise unless x lies in the section interval and h names a generator."""
+    x_arr = np.asarray(x, dtype=float)
+    lo, hi = section.interval
+    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if np.any(x_arr < lo - tol) or np.any(x_arr > hi + tol):
+        raise InvalidSectionError(
+            f"evaluation point outside section interval [{lo}, {hi}]")
+    if not 1 <= h <= section.order:
+        raise InvalidSectionError(
+            f"generator index {h} out of range 1..{section.order}")
+
+
 def eval_generator(section: ECSection, h: int, r: int, x):
     """D^r u_h at x (x-units); x must lie in the section interval."""
-    x_arr = np.asarray(x, dtype=float)
-    lo, hi = section.interval
-    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if np.any(x_arr < lo - tol) or np.any(x_arr > hi + tol):
-        raise InvalidSectionError(
-            f"evaluation point outside section interval [{lo}, {hi}]")
-    return section.eval(h, r, x)
+    _check_generator(section, h, x)
+    return section.eval_all(r, x)[h - 1]
 
 
-def antiderivative_generator(section: ECSection, h: int, x):
+def antiderivative_generator(section: ECSection, h: int, x) -> float:
     """Integral of u_h from the section's left endpoint to x."""
-    x_arr = np.asarray(x, dtype=float)
-    lo, hi = section.interval
-    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if np.any(x_arr < lo - tol) or np.any(x_arr > hi + tol):
-        raise InvalidSectionError(
-            f"evaluation point outside section interval [{lo}, {hi}]")
-    return section.integral(h, x)
+    _check_generator(section, h, x)
+    return float(section.integral_all(x)[h - 1])

@@ -56,7 +56,7 @@ def validate_connection_matrix(M: np.ndarray, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generic ramp solver
+# row solver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -65,29 +65,6 @@ class RowReport:
     size: int
     condition: float
     residual: float
-
-
-def solve_ramp(sections: Sequence[ECSection], points: Sequence[float],
-               left_count: int, interior_counts: Sequence[int], right_count: int,
-               connections: Sequence[np.ndarray | None] | None = None, *,
-               index: int = 0) -> tuple[list[np.ndarray], RowReport]:
-    """Solve for a piecewise ramp: 0 at the left end, 1 at the right end.
-
-    sections: the P pieces the ramp crosses; points: their P+1 boundaries.
-    left_count rows force D^r = 0 (r < left_count) at points[0];
-    interior_counts[j] rows tie pieces j and j+1 at points[j+1] (optionally
-    through a connection matrix acting on the left derivative vector);
-    right_count rows force D^r = delta_{r,0} at points[-1].
-
-    Returns per-piece coefficient vectors plus a conditioning report.
-    """
-    if connections is None:
-        connections = [None] * (len(sections) - 1)
-    spec = RowSpec(index, float(points[0]), float(points[-1]), 0,
-                   tuple(sections), tuple(points), left_count,
-                   tuple(interior_counts), right_count, tuple(connections))
-    row, rep = solve_space_row(spec)
-    return list(row.pieces), rep
 
 
 def _hermite_system(spec: RowSpec, jet) -> tuple[np.ndarray, np.ndarray]:
@@ -392,11 +369,6 @@ def _row_spec(grid: np.ndarray, sections: list[ECSection], starts, ends,
                    tuple(connections.get(j) for j in inner))
 
 
-def solve_space_row(spec: RowSpec) -> tuple[TransitionRow, RowReport | None]:
-    """Solve the Hermite system of one row; a step row solves nothing."""
-    return _solve_rows([spec])[0][0]
-
-
 def _assemble_table(space, known: dict) -> TransitionTable:
     """The table of a single- or multi-order space.  A row whose spec key is
     in known (key -> (row, report) of another table) is copied from there;
@@ -453,14 +425,12 @@ def detect_vanishing_order(table: TransitionTable, i: int, side: str = "left",
         x = row.start
         sec = table.sections[row.first_piece]
         coeff = row.pieces[0]
-        r0 = 1
     else:
         x = row.stop
         sec = table.sections[row.first_piece + len(row.pieces) - 1]
         coeff = row.pieces[-1]
-        r0 = 1
     cscale = np.abs(coeff).max()
-    for r in range(r0, cap + 1):
+    for r in range(1, cap + 1):
         vals = sec.eval_all(r, x)
         if not np.all(np.isfinite(vals)):
             break

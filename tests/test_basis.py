@@ -9,6 +9,7 @@ from chebspline import (Spline, bernstein_basis, build_extended_partition,
                         make_section, make_spline_space, one_section_space,
                         sample_basis, sample_spline)
 from chebspline.basis import TensorSurface
+from chebspline.errors import PartitionError
 
 
 def polynomial_space(breakpoints, multiplicities, order):
@@ -101,6 +102,16 @@ def test_integrate_constant_one():
     spline = Spline(space, np.ones((space.dim, 1)))
     assert_allclose(integrate_spline(spline, 0.0, 1.0), [1.0], rtol=1e-12)
     assert_allclose(integrate_spline(spline, 0.2, 0.7), [0.5], rtol=1e-10)
+
+
+@pytest.mark.parametrize("x0, x1", [(-1.0, 1.0), (0.0, 2.0), (-2.0, -1.0)])
+def test_integral_outside_the_domain_raises_as_evaluation_does(x0, x1):
+    spline = Spline(polynomial_space([0.0, 1.0], [], 3), np.ones((3, 1)))
+    with pytest.raises(PartitionError) as evaluated:
+        eval_spline(spline, x0 if x0 < 0.0 else x1)
+    with pytest.raises(PartitionError) as integrated:
+        integrate_spline(spline, x0, x1)
+    assert str(integrated.value) == str(evaluated.value)
 
 
 def test_derivative_matches_finite_differences():

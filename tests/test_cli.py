@@ -206,3 +206,17 @@ def test_csv_output_deterministic(tmp_path):
         res = run("basis", "--input", SPACE, "--output", out, "--samples", 64)
         assert res.exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+MULTIORDER = DESCRIPTORS / "multiorder_line_circle_cardioid.json"
+
+
+@pytest.mark.parametrize("command, descriptor", [
+    ("basis", SURFACE), ("eval", SPACE), ("insert", SPACE), ("elevate", SURFACE),
+    ("bezier", MULTIORDER), ("clamp", SPACE), ("surface", CURVE)])
+def test_wrong_descriptor_type_is_exit_2(tmp_path, command, descriptor):
+    extra = ("--at", 0.5) if command == "insert" else ()
+    res = run(command, "--input", descriptor, "--output", tmp_path / "x.csv",
+              *extra)
+    assert res.exit_code == 2
+    assert "needs a" in res.output

@@ -107,3 +107,65 @@ def test_periodic_requires_knots_form(tmp_path):
         "sections": [{"family": "polynomial"}]}))
     with pytest.raises(DescriptorError):
         load_object(bad)
+
+
+def _poly_space(**extra):
+    d = {"type": "space",
+         "partition": {"order": 3, "breakpoints": [0.0, 1.0],
+                       "multiplicities": []},
+         "sections": [{"family": "polynomial"}]}
+    d.update(extra)
+    return d
+
+
+# (descriptor, path the message starts with, part of the kernel's message):
+# each feeds one translation site a value the kernel, not the descriptor
+# reader, rejects
+TRANSLATED = {
+    "section": (_poly_space(sections=[{"family": "trigonometric",
+                                       "params": {"theta": -1.0}}]),
+                "space.sections[0]", "theta must be positive"),
+    "partition": (_poly_space(partition={"order": 3,
+                                         "breakpoints": [0.0, 0.5, 1.0],
+                                         "multiplicities": [7]}),
+                  "space.partition", "multiplicities must lie in"),
+    "connection matrix": (
+        _poly_space(partition={"order": 3, "breakpoints": [0.0, 0.5, 1.0],
+                               "multiplicities": [1]},
+                    sections=[{"family": "polynomial"}] * 2,
+                    connections=[{"at": 0.5,
+                                  "matrix": [[1.0, 0.0], [0.0, -2.0]]}]),
+        "space.connections[0].matrix", "diagonal must be positive"),
+    "periodic": (
+        _poly_space(partition={"order": 3,
+                               "knots": [-0.5, -0.25, 0.0, 0.5, 1.0, 1.25, 1.5]},
+                    sections=[{"family": "polynomial", "interval": [0.0, 0.5]},
+                              {"family": "polynomial", "interval": [0.5, 1.0]}],
+                    periodic={"period": 2.0}),
+        "space", "does not match the domain length"),
+    "space": (_poly_space(sections=[{"family": "polynomial", "order": 4}]),
+              "space", "section 0 has order 4, expected 3"),
+    "spline": ({"type": "spline", "space": _poly_space(),
+                "coefficients": [1.0, 2.0]},
+               "spline", "expected 3 coefficients, got 2"),
+    "multi-order": ({"type": "multiorder-space",
+                     "sections": [{"family": "polynomial", "interval": [0.0, 1.0],
+                                   "order": 3},
+                                  {"family": "polynomial", "interval": [1.0, 2.0],
+                                   "order": 4}],
+                     "continuities": [5]},
+                    "multiorder-space", "continuity order k_1=5"),
+    "surface": ({"type": "surface", "u_space": _poly_space(),
+                 "v_space": _poly_space(), "net": [[0.0, 0.0], [0.0, 0.0]]},
+                "surface", "does not match space dimensions"),
+}
+
+
+@pytest.mark.parametrize("site", list(TRANSLATED))
+def test_kernel_errors_carry_the_descriptor_path(site):
+    d, where, kernel_msg = TRANSLATED[site]
+    with pytest.raises(DescriptorError) as err:
+        object_from_descriptor(d)
+    msg = str(err.value)
+    assert msg.startswith(f"{where}: "), msg
+    assert kernel_msg in msg

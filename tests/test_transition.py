@@ -211,7 +211,7 @@ def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
         build_transition_table(space)
     for spec in specs.values():
         try:
-            transition.solve_space_row(spec)
+            transition._solve_rows([spec])
         except SingularSystemError as exc:
             alone = exc
             break
