@@ -197,14 +197,19 @@ def eval_spline_derivative(spline: Spline, r: int, x: float,
 
 def integrate_spline(spline: Spline, x0: float, x1: float) -> np.ndarray:
     """Exact integral of the spline over [x0, x1] via antiderivatives;
-    bounds outside [a, b] raise as the evaluators do."""
+    bounds outside [a, b] raise as the evaluators do.  Only the rows alive
+    on [x0, x1] are read: the rows before them are 1 there and the rows
+    after them 0, so their weights N_i vanish."""
     if x0 > x1:
         raise ValueError("integration bounds must satisfy x0 <= x1")
     space = spline.space
     table = space.table
-    _interval_index(table.grid, np.array([x0, x1]), "right", space.a, space.b)
+    j0, j1 = _interval_index(table.grid, np.array([x0, x1]), "right",
+                             space.a, space.b).tolist()
+    lo, _ = table._block(j0)
+    hi, P = table._block(j1)
     out = np.zeros(spline.dim_target)
-    for i in range(1, space.dim + 1):
+    for i in range(lo - 1, hi + len(P)):
         w = table.integral(i, x0, x1) - table.integral(i + 1, x0, x1)
         if w != 0.0:
             out += w * spline.coefficients[i - 1]

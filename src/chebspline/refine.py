@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (Spline, SplineSpace, make_spline_space, one_section_space,
-                    sample_spline)
+from .basis import Spline, SplineSpace, make_spline_space, sample_spline
 from .errors import KnotRemovalError, RefinementError
 from .partition import (_interval_index, build_extended_partition,
                         partition_from_knots)
@@ -272,6 +271,10 @@ def _default_target(sec: ECSection, r: int) -> ECSection:
         out_fam, out_params = "hyperbolic", params
     elif fam in ("mixed", "trig-envelope"):
         out_fam, out_params = fam, params
+    elif fam == "variable-degree" and params["n1"] == params["n2"] == m + r - 2:
+        # that variable-degree section would be degenerate; these
+        # polynomials contain the source
+        out_fam, out_params = "polynomial", {}
     elif fam == "variable-degree":
         out_fam, out_params = fam, params
     else:
@@ -285,8 +288,8 @@ def _default_target(sec: ECSection, r: int) -> ECSection:
 def _check_containment(src: ECSection, dst: ECSection, tol: float = 1e-8):
     lo, hi = src.interval
     xs = np.linspace(lo, hi, 4 * dst.order + 9)
-    A = np.array([dst.eval_all(0, x) for x in xs])
-    Y = np.array([src.eval_all(0, x) for x in xs])
+    A = dst.eval_all(0, xs).T
+    Y = src.eval_all(0, xs).T
     for h, y in enumerate(Y.T, start=1):
         sol, *_ = np.linalg.lstsq(A, y, rcond=None)
         resid = np.abs(A @ sol - y).max()
@@ -297,25 +300,25 @@ def _check_containment(src: ECSection, dst: ECSection, tol: float = 1e-8):
                 f"{src.order}): residual {resid:.3e}")
 
 
-def _one_section_derivs(sec: ECSection, orders: int) -> np.ndarray:
-    """D[i, j] = D^j g_i(a) for the one-section transitions g_1..g_n, n=m-1.
-
-    g_i is transition row i+1 of the single-section space; only right-sided
-    derivatives at the left endpoint are needed.
+def _one_section_derivs(table: TransitionTable, j: int, orders: int) -> np.ndarray:
+    """D[i, k] = D^k g_i(a) for the one-section transitions g_1..g_n, n=m-1,
+    of section j: with every interior knot at multiplicity m-1 they are the
+    rows alive on interval j.  Only right-sided derivatives at a are needed.
     """
-    _, P = one_section_space(sec).table._block(0)     # rows g_1..g_n
+    _, P = table._block(j)
+    sec = table.sections[j]
     n = sec.order - 1
     D = np.zeros((n + 1, orders + 1))
-    for j, u in enumerate(sec.jet(orders, sec.interval[0])):
-        D[1:, j] = [P[k] @ u for k in range(n)]
+    for k, u in enumerate(sec.jet(orders, sec.interval[0])):
+        D[1:, k] = [P[i] @ u for i in range(n)]
     return D
 
 
-def _segment_gamma_delta(src: ECSection, dst: ECSection, r: int
-                         ) -> tuple[np.ndarray, np.ndarray | None]:
-    n = src.order - 1
-    Ds = _one_section_derivs(src, n + r)
-    Dt = _one_section_derivs(dst, n + r)
+def _segment_gamma_delta(src: TransitionTable, dst: TransitionTable, j: int,
+                         r: int) -> tuple[np.ndarray, np.ndarray | None]:
+    n = src.sections[j].order - 1
+    Ds = _one_section_derivs(src, j, n + r)
+    Dt = _one_section_derivs(dst, j, n + r)
     gam = np.zeros(n + r + 1)
     gam[0] = 1.0
     for i in range(1, n + 1):
@@ -380,10 +383,13 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
         targets = [make_section(sp["family"], sp.get("params"), s.interval,
                                 m + r, sp.get("local_map"))
                    for sp, s in zip(specs, bez.sections)]
+    grid = bez.space.partition.grid
+    glued_part = build_extended_partition(grid, [m + r - 1] * (len(grid) - 2), m + r)
+    glued_space = make_spline_space(glued_part, targets)
     gammas, deltas, elevated = [], [], []
-    for src, dst, ctrl in zip(bez.sections, targets, bez.controls):
+    for j, (src, dst, ctrl) in enumerate(zip(bez.sections, targets, bez.controls)):
         _check_containment(src, dst)
-        gam, delta = _segment_gamma_delta(src, dst, r)
+        gam, delta = _segment_gamma_delta(bez.space.table, glued_space.table, j, r)
         gammas.append(gam)
         deltas.append(delta)
         elevated.append(_elevate_controls(ctrl, gam, delta, r))
@@ -396,13 +402,8 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
             raise RefinementError(
                 f"segment interface mismatch {gap:.3e} while gluing")
         coeffs.append(elevated[j][1:])
-    glued_c = np.vstack(coeffs)
-    grid = bez.space.partition.grid
-    glued_part = build_extended_partition(grid, [m + r - 1] * (len(grid) - 2), m + r)
-    glued_space = make_spline_space(glued_part, targets)
-    glued = Spline(glued_space, glued_c)
     # knot removal back to original multiplicity + r
-    cur_space, cur = glued_space, glued
+    cur_space, cur = glued_space, Spline(glued_space, np.vstack(coeffs))
     residuals = []
     for x in space.partition.grid[1:-1]:
         target_mult = space.partition.multiplicity_of(float(x)) + r

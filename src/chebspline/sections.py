@@ -348,6 +348,9 @@ def _validate_vardeg(params, order, local_len):
     n2 = _get(params, "n2")
     _check(n1 >= order - 2 and n2 >= order - 2,
            f"exponents must be >= order-2 = {order - 2}")
+    # (1-t)**n, t**n and the monomials below degree n are dependent
+    _check(not n1 == n2 == order - 2,
+           f"exponents n1 = n2 = order-2 = {order - 2} give dependent generators")
 
 
 def _build_vardeg(params, order):
@@ -565,7 +568,9 @@ def eval_generator(section: ECSection, h: int, r: int, x):
     return section.eval_all(r, x)[h - 1]
 
 
-def antiderivative_generator(section: ECSection, h: int, x) -> float:
-    """Integral of u_h from the section's left endpoint to x."""
+def antiderivative_generator(section: ECSection, h: int, x):
+    """Integral of u_h from the section's left endpoint to x: a float for a
+    scalar x, an array for an array."""
     _check_generator(section, h, x)
-    return float(section.integral_all(x)[h - 1])
+    val = section.integral_all(x)[h - 1]
+    return float(val) if val.ndim == 0 else val

@@ -114,6 +114,29 @@ def test_integral_outside_the_domain_raises_as_evaluation_does(x0, x1):
     assert str(integrated.value) == str(evaluated.value)
 
 
+def test_integral_reads_only_the_rows_alive_on_the_bounds(monkeypatch):
+    from chebspline.transition import TransitionTable
+    calls = []
+    integral = TransitionTable.integral
+    monkeypatch.setattr(TransitionTable, "integral",
+                        lambda self, i, u, v: calls.append(i)
+                        or integral(self, i, u, v))
+    x0, x1 = 0.2999, 0.3005            # inside one grid interval at both K
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    xs = 0.5 * (x1 - x0) * nodes + 0.5 * (x0 + x1)
+    counts = []
+    for K in (10, 1000):
+        space = polynomial_space(np.linspace(0.0, 1.0, K + 2), [1] * K, 4)
+        spline = Spline(space, np.random.default_rng(K).normal(size=(space.dim, 2)))
+        space.table
+        calls.clear()
+        got = integrate_spline(spline, x0, x1)
+        counts.append(len(calls))
+        ref = 0.5 * (x1 - x0) * weights @ sample_spline(spline, xs)
+        assert_allclose(got, ref, rtol=1e-12, atol=1e-16)
+    assert counts[0] == counts[1]
+
+
 def test_derivative_matches_finite_differences():
     space = mixed_m6_space()
     rng = np.random.default_rng(9)

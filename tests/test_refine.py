@@ -3,14 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from chebspline import (KnotRemovalError, Spline, build_extended_partition,
+from chebspline import (ChebsplineError, KnotRemovalError, RefinementError,
+                        Spline, build_extended_partition,
                         build_transition_table, elevate_order, insert_knot,
                         insert_knot_right, load_object, make_periodic_space,
                         make_section, make_spline_space, max_deviation,
                         one_section_space, partition_from_knots,
-                        periodic_to_clamped, remove_knot, sample_spline,
-                        tile_periodic_coefficients, to_bezier_segments,
-                        transition)
+                        periodic_to_clamped, refine, remove_knot,
+                        sample_spline, tile_periodic_coefficients,
+                        to_bezier_segments, transition)
 from chebspline.basis import eval_spline
 from conftest import DESCRIPTORS, assert_same_table
 
@@ -293,3 +294,85 @@ def test_remove_knot_resolves_only_rows_crossing_it(m, monkeypatch):
     # only the rows crossing the merged interval see a new system
     assert 0 < len(solved) <= m - 1
     assert_same_table(coarse.table, build_transition_table(coarse))
+
+
+def test_elevation_solves_only_its_pipeline_rows(monkeypatch):
+    # Bezier extraction, the glued target table and the removals; the
+    # per-segment Bernstein rows are read from the first two
+    spline = load_object(DESCRIPTORS / "trig_m4_open_curve.json")
+    spline.space.table
+    rows = []
+    solve = transition._solve_rows
+    monkeypatch.setattr(transition, "_solve_rows",
+                        lambda specs: rows.extend(specs) or solve(specs))
+    elevate_order(spline.space, spline, 1)
+    assert len(rows) <= 40
+
+
+# the committed splines with a default elevation target on every section
+TARGETED = [p for p in SPLINES if all(s.family != "rational-tension" for s
+                                      in load_object(p.values[0]).space.sections)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("path", TARGETED)
+def test_elevation_gammas_are_the_one_section_ones(path, r, monkeypatch):
+    # gamma and delta read from the Bezier and glued tables equal, byte for
+    # byte, those of each segment's own one-section spaces
+    spline = load_object(path)
+    seen = []
+    gamma_delta = refine._segment_gamma_delta
+
+    def recorded(src, dst, j, r):
+        out = gamma_delta(src, dst, j, r)
+        seen.append((src.sections[j], dst.sections[j], out))
+        return out
+
+    monkeypatch.setattr(refine, "_segment_gamma_delta", recorded)
+    try:
+        step, _ = elevate_order(spline.space, spline, r)
+    except ChebsplineError:         # a later stage failed; the gammas stand
+        step = None
+    assert seen
+    for src, dst, (gam, delta) in seen:
+        ref_gam, ref_delta = gamma_delta(one_section_space(src).table,
+                                         one_section_space(dst).table, 0, r)
+        assert gam.tobytes() == ref_gam.tobytes()
+        if r == 1:
+            assert delta is None and ref_delta is None
+        else:
+            assert delta.tobytes() == ref_delta.tobytes()
+    if step is not None:
+        assert [g.tobytes() for g in step.gammas] == \
+            [gam.tobytes() for _, _, (gam, _) in seen]
+        assert step.deltas is None if r == 1 else \
+            [d.tobytes() for d in step.deltas] == \
+            [delta.tobytes() for _, _, (_, delta) in seen]
+
+
+def test_target_that_misses_the_source_raises():
+    space = polynomial_space([0.0, 0.5, 1.0], [1], 4)
+    spline = random_spline(space, np.random.default_rng(17))
+    with pytest.raises(RefinementError, match="does not contain"):
+        elevate_order(space, spline, 1,
+                      {"family": "trigonometric", "params": {"theta": 1.0}})
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_elevation_past_degenerate_variable_degree_targets(m, r):
+    # the variable-degree section of order m+r with n1 = n2 = m+r-2 has
+    # dependent generators; the default target is the polynomials of order
+    # m+r on the source's local coordinate
+    n = m + r - 2
+    part = build_extended_partition([0.0, 0.4, 1.0], [1], m)
+    secs = [make_section("variable-degree", {"n1": n, "n2": n},
+                         (part.grid[j], part.grid[j + 1]), m)
+            for j in range(2)]
+    space = make_spline_space(part, secs)
+    spline = random_spline(space, np.random.default_rng(18))
+    step, out = elevate_order(space, spline, r)
+    for src, dst in zip(secs, step.targets):
+        assert (dst.family, dst.order) == ("polynomial", m + r)
+        assert (dst.anchor, dst.scale) == (src.anchor, src.scale)
+    assert max_deviation(spline, out) < 1e-9

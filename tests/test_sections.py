@@ -263,3 +263,22 @@ def test_jet_rows_are_the_one_order_formulas(family, params, order, lmap):
                                 dtype=float)
                 assert J[r].tobytes() == want.tobytes(), (x, R, r)
                 assert sec.eval_all(r, x).tobytes() == want.tobytes()
+
+
+def test_degenerate_variable_degree_rejected():
+    # n1 = n2 = order-2 = 4: (1-t)**4 - t**4 is a cubic, so the six
+    # generators span only the polynomials of degree 4
+    with pytest.raises(InvalidSectionError, match="dependent"):
+        make_section("variable-degree", {"n1": 4, "n2": 4}, (0.0, 1.0), 6)
+    make_section("variable-degree", {"n1": 4, "n2": 5}, (0.0, 1.0), 6)
+
+
+def test_antiderivative_of_an_array():
+    sec = make_section("trigonometric", {"theta": 2.0}, (0.0, 1.0), 4)
+    xs = np.array([0.1, 0.5, 0.9])
+    for h in range(1, 5):
+        vals = antiderivative_generator(sec, h, xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        assert_allclose(vals, [antiderivative_generator(sec, h, float(x))
+                               for x in xs], rtol=1e-14)
+        assert isinstance(antiderivative_generator(sec, h, 0.5), float)
