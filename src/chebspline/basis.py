@@ -198,21 +198,34 @@ def eval_spline_derivative(spline: Spline, r: int, x: float,
 def integrate_spline(spline: Spline, x0: float, x1: float) -> np.ndarray:
     """Exact integral of the spline over [x0, x1] via antiderivatives;
     bounds outside [a, b] raise as the evaluators do.  Only the rows alive
-    on [x0, x1] are read: the rows before them are 1 there and the rows
-    after them 0, so their weights N_i vanish."""
+    on [x0, x1] are read, one block per grid interval: the rows before them
+    are 1 there and the rows after them 0, so their weights N_i vanish."""
     if x0 > x1:
         raise ValueError("integration bounds must satisfy x0 <= x1")
     space = spline.space
     table = space.table
-    j0, j1 = _interval_index(table.grid, np.array([x0, x1]), "right",
+    grid = table.grid
+    j0, j1 = _interval_index(grid, np.array([x0, x1]), "right",
                              space.a, space.b).tolist()
-    lo, _ = table._block(j0)
-    hi, P = table._block(j1)
+    first = table._block(j0)[0] - 1
+    hi, alive = table._block(j1)
+    # the integral I_i of f_i starts from the stretch where f_i is 1 and
+    # adds its pieces left to right
+    I = np.array([x1 - x0 if i == 1 else 0.0 if i == table.dim + 1
+                  else max(0.0, x1 - max(x0, table.rows[i].stop))
+                  for i in range(first, hi + len(alive) + 1)])
+    for j in range(j0, j1 + 1):
+        u, v = max(x0, grid[j]), min(x1, grid[j + 1])
+        if u < v:
+            lo, P = table._block(j)
+            sec = table.sections[j]
+            vals = sec.integral_all(v) - sec.integral_all(u)
+            I[lo - first:lo - first + len(P)] += _row_values(P, vals[:, None])[:, 0]
+    w = I[:-1] - I[1:]
     out = np.zeros(spline.dim_target)
-    for i in range(lo - 1, hi + len(P)):
-        w = table.integral(i, x0, x1) - table.integral(i + 1, x0, x1)
-        if w != 0.0:
-            out += w * spline.coefficients[i - 1]
+    # one weight at a time, in row order: a matrix product reorders the sums
+    for k in np.flatnonzero(w):
+        out += w[k] * spline.coefficients[first + k - 1]
     return out
 
 
@@ -252,17 +265,17 @@ def _differences(V: np.ndarray, head: float = 1.0) -> np.ndarray:
     return F[:-1] - F[1:]
 
 
-def _sample_rows(space, xs: np.ndarray):
+def _sample_rows(space, xs: np.ndarray, r: int = 0):
     """The batched evaluator: one lookup groups the points by grid interval
     (with the end-point rule of eval_nonzero_basis); per interval it yields
-    (point indices, lo, values of the rows f_lo, .. alive there)."""
+    (point indices, lo, D^r of the rows f_lo, .. alive there)."""
     table = space.table
     js = _interval_index(table.grid, xs, "right", space.a, space.b)
     order = np.argsort(js, kind="stable")
     found, starts = np.unique(js[order], return_index=True)
     for j, idx in zip(found, np.split(order, starts[1:])):
         lo, P = table._block(j)
-        yield idx, lo, _row_values(P, table.sections[j].eval_all(0, xs[idx]))
+        yield idx, lo, _row_values(P, table.sections[j].eval_all(r, xs[idx]))
 
 
 def sample_basis(space: SplineSpace, xs) -> np.ndarray:
@@ -287,10 +300,12 @@ def sample_transitions(space: SplineSpace, xs) -> np.ndarray:
     return out
 
 
-def sample_spline(spline: Spline, xs) -> np.ndarray:
+def sample_spline(spline: Spline, xs, r: int = 0) -> np.ndarray:
+    """D^r of the spline at the sample points (len(xs) x d)."""
     xs = np.asarray(xs, dtype=float)
     c = spline.coefficients
+    head = 1.0 if r == 0 else 0.0
     out = np.zeros((len(xs), spline.dim_target))
-    for idx, lo, V in _sample_rows(spline.space, xs):
-        out[idx] = _differences(V).T @ c[lo - 2:lo - 1 + len(V)]
+    for idx, lo, V in _sample_rows(spline.space, xs, r):
+        out[idx] = _differences(V, head).T @ c[lo - 2:lo - 1 + len(V)]
     return out

@@ -14,9 +14,8 @@ import click
 import numpy as np
 
 from . import descriptors as dsc
-from .basis import (Spline, SplineSpace, TensorSurface,
-                    eval_spline_derivative, sample_basis, sample_spline,
-                    sample_transitions)
+from .basis import (Spline, SplineSpace, TensorSurface, sample_basis,
+                    sample_spline, sample_transitions)
 from .errors import ChebsplineError, DescriptorError
 from .extensions import MultiOrderSpace
 from .output import (curvature_comb, svg_curve_plot, svg_function_plot,
@@ -189,13 +188,8 @@ def eval_cmd(input_path, output_path, samples, fmt, comb):
     else:
         combs = None
         if comb:
-            d1 = np.array([eval_spline_derivative(
-                obj, 1, float(x), "left" if x == xs[-1] else "right")[:2]
-                for x in xs])
-            d2 = np.array([eval_spline_derivative(
-                obj, 2, float(x), "left" if x == xs[-1] else "right")[:2]
-                for x in xs])
-            combs = [curvature_comb(vals[:, :2], d1, d2)]
+            combs = [curvature_comb(vals[:, :2], sample_spline(obj, xs, 1)[:, :2],
+                                    sample_spline(obj, xs, 2)[:, :2])]
         write_svg(out, svg_curve_plot([vals[:, :2]], combs))
     click.echo(f"wrote {out} ({samples} samples, {d} coordinates)")
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Spline, SplineSpace, make_spline_space, sample_spline
+from .basis import (Spline, SplineSpace, _row_values, make_spline_space,
+                    sample_spline)
 from .errors import KnotRemovalError, RefinementError
 from .partition import (_interval_index, build_extended_partition,
                         partition_from_knots)
@@ -271,9 +272,18 @@ def _default_target(sec: ECSection, r: int) -> ECSection:
         out_fam, out_params = "hyperbolic", params
     elif fam in ("mixed", "trig-envelope"):
         out_fam, out_params = fam, params
-    elif fam == "variable-degree" and params["n1"] == params["n2"] == m + r - 2:
-        # that variable-degree section would be degenerate; these
-        # polynomials contain the source
+    elif fam == "variable-degree" and (
+            min(params["n1"], params["n2"]) < m + r - 2
+            or params["n1"] == params["n2"] == m + r - 2):
+        # that variable-degree section would be invalid or degenerate;
+        # polynomials contain the source when its exponents are whole and
+        # at most m+r-1
+        if not all(float(n).is_integer() and n <= m + r - 1
+                   for n in (params["n1"], params["n2"])):
+            raise RefinementError(
+                f"no default elevation target of order {m + r} for "
+                f"variable-degree exponents n1={params['n1']}, "
+                f"n2={params['n2']}; pass target_families")
         out_fam, out_params = "polynomial", {}
     elif fam == "variable-degree":
         out_fam, out_params = fam, params
@@ -307,10 +317,8 @@ def _one_section_derivs(table: TransitionTable, j: int, orders: int) -> np.ndarr
     """
     _, P = table._block(j)
     sec = table.sections[j]
-    n = sec.order - 1
-    D = np.zeros((n + 1, orders + 1))
-    for k, u in enumerate(sec.jet(orders, sec.interval[0])):
-        D[1:, k] = [P[i] @ u for i in range(n)]
+    D = np.zeros((sec.order, orders + 1))
+    D[1:] = _row_values(P, sec.jet(orders, sec.interval[0]).T)
     return D
 
 

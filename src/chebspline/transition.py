@@ -289,29 +289,6 @@ class TransitionTable:
             return 0.0
         return float(P[k] @ self.sections[j].eval_all(r, x))
 
-    def integral(self, i: int, u: float, v: float) -> float:
-        """Integral of f_i over [u, v] (u <= v within the grid)."""
-        if u > v:
-            raise ValueError("integration bounds must satisfy u <= v")
-        if i == 1:
-            return v - u
-        if i == self.dim + 1:
-            return 0.0
-        row = self.rows[i]
-        total = max(0.0, v - max(u, row.stop))
-        lo, hi = max(u, row.start), min(v, row.stop)
-        if lo >= hi:
-            return total
-        grid = self.grid
-        for k, coeff in enumerate(row.pieces):
-            j = row.first_piece + k
-            seg_lo, seg_hi = max(lo, grid[j]), min(hi, grid[j + 1])
-            if seg_lo < seg_hi:
-                sec = self.sections[j]
-                vals = sec.integral_all(seg_hi) - sec.integral_all(seg_lo)
-                total += float(coeff @ vals)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # the row rule

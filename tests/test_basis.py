@@ -6,10 +6,11 @@ import oracles
 from chebspline import (Spline, bernstein_basis, build_extended_partition,
                         eval_bspline, eval_nonzero_basis, eval_spline,
                         eval_spline_derivative, eval_surface, integrate_spline,
-                        make_section, make_spline_space, one_section_space,
-                        sample_basis, sample_spline)
+                        load_object, make_section, make_spline_space,
+                        one_section_space, sample_basis, sample_spline)
 from chebspline.basis import TensorSurface
 from chebspline.errors import PartitionError
+from conftest import DESCRIPTORS
 
 
 def polynomial_space(breakpoints, multiplicities, order):
@@ -115,12 +116,13 @@ def test_integral_outside_the_domain_raises_as_evaluation_does(x0, x1):
 
 
 def test_integral_reads_only_the_rows_alive_on_the_bounds(monkeypatch):
-    from chebspline.transition import TransitionTable
+    # one block per grid interval: two integral_all calls for each interval
+    # of [x0, x1], however many rows the space has
+    from chebspline.sections import ECSection
     calls = []
-    integral = TransitionTable.integral
-    monkeypatch.setattr(TransitionTable, "integral",
-                        lambda self, i, u, v: calls.append(i)
-                        or integral(self, i, u, v))
+    integral_all = ECSection.integral_all
+    monkeypatch.setattr(ECSection, "integral_all",
+                        lambda self, x: calls.append(x) or integral_all(self, x))
     x0, x1 = 0.2999, 0.3005            # inside one grid interval at both K
     nodes, weights = np.polynomial.legendre.leggauss(4)
     xs = 0.5 * (x1 - x0) * nodes + 0.5 * (x0 + x1)
@@ -128,13 +130,95 @@ def test_integral_reads_only_the_rows_alive_on_the_bounds(monkeypatch):
     for K in (10, 1000):
         space = polynomial_space(np.linspace(0.0, 1.0, K + 2), [1] * K, 4)
         spline = Spline(space, np.random.default_rng(K).normal(size=(space.dim, 2)))
-        space.table
+        grid = space.table.grid
+        intervals = grid.searchsorted(x1) - grid.searchsorted(x0, "right") + 1
         calls.clear()
         got = integrate_spline(spline, x0, x1)
         counts.append(len(calls))
+        assert len(calls) <= 2 * intervals
         ref = 0.5 * (x1 - x0) * weights @ sample_spline(spline, xs)
         assert_allclose(got, ref, rtol=1e-12, atol=1e-16)
     assert counts[0] == counts[1]
+
+
+def row_integral(table, i, u, v):
+    """Integral of f_i over [u, v], piece by piece of row i."""
+    if i == 1:
+        return v - u
+    if i == table.dim + 1:
+        return 0.0
+    row = table.rows[i]
+    total = max(0.0, v - max(u, row.stop))
+    lo, hi = max(u, row.start), min(v, row.stop)
+    if lo >= hi:
+        return total
+    for k, coeff in enumerate(row.pieces):
+        j = row.first_piece + k
+        seg_lo, seg_hi = max(lo, table.grid[j]), min(hi, table.grid[j + 1])
+        if seg_lo < seg_hi:
+            sec = table.sections[j]
+            vals = sec.integral_all(seg_hi) - sec.integral_all(seg_lo)
+            total += float(coeff @ vals)
+    return total
+
+
+def row_by_row_integral(spline, x0, x1):
+    """The integral summed over every row: N_i = f_i - f_{i+1}."""
+    table = spline.space.table
+    out = np.zeros(spline.dim_target)
+    for i in range(1, table.dim + 1):
+        w = row_integral(table, i, x0, x1) - row_integral(table, i + 1, x0, x1)
+        if w != 0.0:
+            out += w * spline.coefficients[i - 1]
+    return out
+
+
+def mixed_m4_space(K, rng):
+    # every family of order 4 on simple knots, with a third of the
+    # intervals a thousand times shorter than the rest
+    gaps = rng.uniform(0.5, 1.5, K + 1) * np.where(rng.uniform(size=K + 1) < 0.3,
+                                                   1e-3, 1.0)
+    bp = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    bp[-1] = 1.0
+    part = build_extended_partition(bp, [1] * K, 4)
+    params = [("polynomial", None, None),
+              ("trigonometric", {"theta": 2.0}, None),
+              ("hyperbolic", {"phi": 3.0}, None),
+              ("variable-degree", {"n1": 4, "n2": 6}, "normalized"),
+              ("rational-tension", {"nu": 5.0}, "normalized")]
+    secs = []
+    for j in range(part.num_sections):
+        fam, par, lmap = params[j % len(params)]
+        secs.append(make_section(fam, par, (part.grid[j], part.grid[j + 1]),
+                                 4, lmap))
+    return make_spline_space(part, secs)
+
+
+def integral_cases():
+    for path in sorted(DESCRIPTORS.glob("*.json")):
+        obj = load_object(path)
+        if isinstance(obj, Spline):
+            yield pytest.param(obj, id=path.stem)
+    rng = np.random.default_rng(14)
+    space = mixed_m4_space(1000, rng)
+    yield pytest.param(Spline(space, rng.normal(size=(space.dim, 2))),
+                       id="mixed-K1000")
+
+
+@pytest.mark.parametrize("spline", list(integral_cases()))
+def test_integral_is_the_row_by_row_integral(spline):
+    space = spline.space
+    grid = space.table.grid
+    grid = grid[(grid >= space.a) & (grid <= space.b)]
+    rng = np.random.default_rng(space.dim)
+    mid = grid[len(grid) // 2]
+    bounds = [(space.a, space.b), (space.a, space.a), (mid, mid),
+              (grid[1], grid[-2]), (space.a, grid[1]), (grid[-2], space.b)]
+    bounds += [tuple(np.sort(rng.uniform(space.a, space.b, 2)).tolist())
+               for _ in range(6)]
+    for x0, x1 in bounds:
+        got = integrate_spline(spline, x0, x1)
+        assert got.tobytes() == row_by_row_integral(spline, x0, x1).tobytes()
 
 
 def test_derivative_matches_finite_differences():

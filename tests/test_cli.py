@@ -86,6 +86,25 @@ def test_eval_svg_with_comb(tmp_path):
     assert "<polyline" in out.read_text()
 
 
+def test_comb_is_the_scalar_path_comb(tmp_path):
+    # the comb reads D^1 and D^2 from the batched evaluator; the SVG equals
+    # one built from per-point derivatives (the left side at b)
+    from chebspline import eval_spline_derivative, sample_spline
+    from chebspline.output import curvature_comb, svg_curve_plot
+    out = tmp_path / "closed.svg"
+    res = run("eval", "--input", CLOSED, "--output", out, "--format", "svg",
+              "--comb", "--samples", 400)
+    assert res.exit_code == 0, res.output
+    spline = load_object(CLOSED)
+    xs = np.linspace(spline.space.a, spline.space.b, 400)
+    vals = sample_spline(spline, xs)[:, :2]
+    d1, d2 = (np.array([eval_spline_derivative(
+        spline, r, float(x), "left" if x == xs[-1] else "right")[:2]
+        for x in xs]) for r in (1, 2))
+    assert out.read_text() == svg_curve_plot(
+        [vals], [curvature_comb(vals, d1, d2)])
+
+
 def test_comb_requires_svg(tmp_path):
     res = run("eval", "--input", CURVE, "--output", tmp_path / "x.csv",
               "--comb")

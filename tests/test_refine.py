@@ -358,6 +358,15 @@ def test_target_that_misses_the_source_raises():
                       {"family": "trigonometric", "params": {"theta": 1.0}})
 
 
+def variable_degree_spline(n1, n2, m):
+    part = build_extended_partition([0.0, 0.4, 1.0], [1], m)
+    secs = [make_section("variable-degree", {"n1": n1, "n2": n2},
+                         (part.grid[j], part.grid[j + 1]), m)
+            for j in range(2)]
+    space = make_spline_space(part, secs)
+    return random_spline(space, np.random.default_rng(18))
+
+
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_elevation_past_degenerate_variable_degree_targets(m, r):
@@ -365,14 +374,31 @@ def test_elevation_past_degenerate_variable_degree_targets(m, r):
     # dependent generators; the default target is the polynomials of order
     # m+r on the source's local coordinate
     n = m + r - 2
-    part = build_extended_partition([0.0, 0.4, 1.0], [1], m)
-    secs = [make_section("variable-degree", {"n1": n, "n2": n},
-                         (part.grid[j], part.grid[j + 1]), m)
-            for j in range(2)]
-    space = make_spline_space(part, secs)
-    spline = random_spline(space, np.random.default_rng(18))
-    step, out = elevate_order(space, spline, r)
-    for src, dst in zip(secs, step.targets):
+    spline = variable_degree_spline(n, n, m)
+    step, out = elevate_order(spline.space, spline, r)
+    for src, dst in zip(spline.space.sections, step.targets):
         assert (dst.family, dst.order) == ("polynomial", m + r)
         assert (dst.anchor, dst.scale) == (src.anchor, src.scale)
     assert max_deviation(spline, out) < 1e-9
+
+
+@pytest.mark.parametrize("n1, n2, m, r", [(3, 3, 4, 2), (2, 3, 4, 1),
+                                          (3, 4, 5, 2)])
+def test_elevation_of_low_exponent_variable_degree_sources(n1, n2, m, r):
+    # an exponent below m+r-2 admits no variable-degree section of order
+    # m+r; whole exponents up to m+r-1 lie in the polynomials of that order
+    spline = variable_degree_spline(n1, n2, m)
+    step, out = elevate_order(spline.space, spline, r)
+    for src, dst in zip(spline.space.sections, step.targets):
+        assert (dst.family, dst.order) == ("polynomial", m + r)
+        assert (dst.anchor, dst.scale) == (src.anchor, src.scale)
+    assert max_deviation(spline, out) < 1e-12
+
+
+@pytest.mark.parametrize("n1, n2", [(2.5, 3), (2, 5)])
+def test_low_exponent_source_outside_the_polynomials_needs_a_target(n1, n2):
+    # order 4 elevated by 1: n1 < 3 rules out variable-degree targets, and a
+    # fractional exponent or one above 4 rules out polynomials of order 5
+    spline = variable_degree_spline(n1, n2, 4)
+    with pytest.raises(RefinementError, match="target_families"):
+        elevate_order(spline.space, spline, 1)
