@@ -25,6 +25,7 @@ sections after refinement).
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -68,6 +69,9 @@ def _get(d, key, where, default=None, required=False):
 def _number(v, where) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(where, f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        # json reads NaN, Infinity and -Infinity
+        _fail(where, f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -331,6 +335,8 @@ def surface_from_descriptor(d, where: str = "surface") -> TensorSurface:
         _fail(f"{where}.net", "ragged or non-numeric control net")
     if net.ndim not in (2, 3):
         _fail(f"{where}.net", f"expected 2 or 3 axes, got {net.ndim}")
+    if not np.isfinite(net).all():
+        _fail(f"{where}.net", "control points must be finite")
     with _translated(where):
         return TensorSurface(u, v, net)
 

@@ -73,22 +73,26 @@ class _Viewport:
         self.oy = self.h - margin - 0.5 * ((self.h - 2 * margin) - sy * spany) \
             + sy * y0
 
-    def map(self, x, y) -> tuple[float, float]:
-        return self.ox + self.sx * x, self.oy - self.sy * y
+    def map(self, xy) -> np.ndarray:
+        """Pixels of the (n, 2) world points xy, -0 made +0 as _p does."""
+        xy = np.asarray(xy, dtype=float)
+        return np.column_stack([self.ox + self.sx * xy[:, 0],
+                                self.oy - self.sy * xy[:, 1]]) + 0.0
 
 
-def _polyline(vp: _Viewport, xs, ys, color: str, width: float = 1.5) -> str:
-    pts = " ".join("%s,%s" % (_p(px), _p(py))
-                   for px, py in (vp.map(x, y) for x, y in zip(xs, ys)))
+def _polyline(vp: _Viewport, xy, color: str, width: float = 1.5) -> str:
+    pix = vp.map(xy)
+    pts = " ".join(["%.6g,%.6g"] * len(pix)) % tuple(pix.ravel().tolist())
     return (f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{_p(width)}" points="{pts}"/>')
 
 
-def _segment(vp: _Viewport, a, b, color: str, width: float) -> str:
-    ax, ay = vp.map(a[0], a[1])
-    bx, by = vp.map(b[0], b[1])
-    return (f'<line x1="{_p(ax)}" y1="{_p(ay)}" x2="{_p(bx)}" y2="{_p(by)}" '
+def _segments(vp: _Viewport, a, b, color: str, width: float) -> list[str]:
+    """One <line> from each point of a to the same row of b."""
+    line = (f'<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" '
             f'stroke="{color}" stroke-width="{_p(width)}"/>')
+    ends = np.hstack([vp.map(a), vp.map(b)]).tolist()
+    return [line % tuple(e) for e in ends]
 
 
 def _document(size, body: list[str]) -> str:
@@ -117,11 +121,11 @@ def svg_function_plot(xs, ys_list, size=(720, 480), margin: float = 42.0) -> str
     body = []
     # axis lines at y = 0 and the domain ends
     if ymin <= 0.0 <= ymax:
-        body.append(_segment(vp, (xs[0], 0.0), (xs[-1], 0.0), "#888888", 0.8))
-    for xv in (float(xs[0]), float(xs[-1])):
-        body.append(_segment(vp, (xv, ymin), (xv, ymax), "#cccccc", 0.8))
+        body += _segments(vp, [(xs[0], 0.0)], [(xs[-1], 0.0)], "#888888", 0.8)
+    body += _segments(vp, [(xs[0], ymin), (xs[-1], ymin)],
+                      [(xs[0], ymax), (xs[-1], ymax)], "#cccccc", 0.8)
     for i, y in enumerate(ys_list):
-        body.append(_polyline(vp, xs, y, _color(i)))
+        body.append(_polyline(vp, np.column_stack([xs, y]), _color(i)))
     return _document(size, body)
 
 
@@ -140,11 +144,10 @@ def svg_curve_plot(curves, combs=None, size=(720, 720),
                    size, margin, equal=True)
     body = []
     for base, tips in (combs or []):
-        for a, b in zip(base, tips):
-            body.append(_segment(vp, a, b, "#b0c4de", 0.6))
-        body.append(_polyline(vp, tips[:, 0], tips[:, 1], "#b0c4de", 0.8))
+        body += _segments(vp, base, tips, "#b0c4de", 0.6)
+        body.append(_polyline(vp, tips, "#b0c4de", 0.8))
     for i, c in enumerate(curves):
-        body.append(_polyline(vp, c[:, 0], c[:, 1], _color(i), 2.0))
+        body.append(_polyline(vp, c, _color(i), 2.0))
     return _document(size, body)
 
 

@@ -50,7 +50,9 @@ class ExtendedPartition:
 
     def end_multiplicities(self, i: int) -> tuple[int, int]:
         """(mu_left, mu_right): run lengths of knots equal to t_i ending/starting at i."""
-        return _run(self.knots, i - 1, -1), _run(self.knots, i - 1, 1)
+        t = self.knot(i)
+        return (i - int(self.knots.searchsorted(t)),
+                int(self.knots.searchsorted(t, "right")) - (i - 1))
 
     def multiplicity_of(self, x: float) -> int:
         return int(np.sum(self.knots == x))
@@ -66,15 +68,6 @@ class ExtendedPartition:
 
     def breakpoints(self) -> np.ndarray:
         return self.grid.copy()
-
-
-def _run(values, k: int, step: int) -> int:
-    """Length of the run of entries equal to values[k] (0-based) that starts
-    at k and goes right (step 1) or left (step -1)."""
-    n = 1
-    while 0 <= k + n * step < len(values) and values[k + n * step] == values[k]:
-        n += 1
-    return n
 
 
 def _interval_index(grid: np.ndarray, x, side: str = "right", lo=None, hi=None):
@@ -105,6 +98,8 @@ def build_extended_partition(breakpoints, multiplicities, order: int) -> Extende
     m = int(order)
     if m < 1:
         raise PartitionError("order must be >= 1")
+    if not np.isfinite(bp).all():
+        raise PartitionError(f"break points must be finite, got {bp.tolist()}")
     if len(bp) < 2 or np.any(np.diff(bp) <= 0):
         raise PartitionError("break points must be strictly increasing with at least two entries")
     if len(mult) != len(bp) - 2:
@@ -132,6 +127,8 @@ def partition_from_knots(order: int, knots, grid=None,
     t = np.asarray(knots, dtype=float)
     if len(t) < 2 * m:
         raise PartitionError(f"need at least {2 * m} knots for order {m}")
+    if not np.isfinite(t).all():
+        raise PartitionError(f"knots must be finite, got {t.tolist()}")
     if np.any(np.diff(t) < 0):
         raise PartitionError("knots must be non-decreasing")
     K = len(t) - 2 * m

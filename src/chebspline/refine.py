@@ -39,10 +39,6 @@ class RefinementStep:
     strategy: str
 
 
-def _space_is_qec(space: SplineSpace) -> bool:
-    return any(FAMILIES[s.family].qec for s in space.sections)
-
-
 def _snap_to_grid(grid: np.ndarray, that: float) -> tuple[int | None, float]:
     hits = np.nonzero(np.isclose(grid, that, rtol=0, atol=1e-12 * max(1.0, abs(that))))[0]
     if len(hits):
@@ -100,11 +96,11 @@ def refine_space_structure(space: SplineSpace, that: float,
 
 def _reuse_table(old_space: SplineSpace, new_space: SplineSpace) -> TransitionTable:
     """Table of new_space derived from old_space's: every row whose Hermite
-    system is unchanged is copied with its report, the others are solved."""
+    system is unchanged is shared with its report, the others are solved.
+    The old rows are looked up by the specs their table kept."""
     old = old_space.table
-    _, specs = old_space._row_specs()
     return _assemble_table(new_space, {spec.key: (old.rows[i], old.reports.get(i))
-                                       for i, spec in specs.items()})
+                                       for i, spec in old.specs.items()})
 
 
 def _compute_alphas(old_space: SplineSpace, new_space: SplineSpace,
@@ -115,7 +111,7 @@ def _compute_alphas(old_space: SplineSpace, new_space: SplineSpace,
     old_table = old_space.table
     new_table = new_space.table
     new_dim = new_space.dim
-    probe = _space_is_qec(old_space)
+    probe = any(FAMILIES[s.family].qec for s in old_space.sections)
     alphas = np.zeros(new_dim)
     alphas[:max(0, min(ell - m + 1, new_dim))] = 1.0
     for i in range(ell - m + 2, ell - mult + 2):
@@ -223,24 +219,27 @@ def to_bezier_segments(space: SplineSpace, spline: Spline,
     Afterwards each section carries its own Bernstein representation: the m
     global B-splines alive on a segment restrict to the section's Bernstein
     basis, so consecutive windows of the coefficient sequence (overlapping by
-    one point, C0 joins) are the per-segment control points.
+    one point, C0 joins) are the per-segment control points.  That needs
+    clamped ends: a wrap-around spline raises RefinementError.
     """
     m = space.order
+    part = space.partition
+    if part.multiplicity_of(part.a) < m or part.multiplicity_of(part.b) < m:
+        raise RefinementError(
+            f"Bezier extraction needs {m} knots at a and at b; convert a "
+            f"wrap-around spline with periodic_to_clamped first")
     cur_space, cur = space, spline
     steps = []
-    for x in space.partition.grid[1:-1]:
-        if not space.a < x < space.b:
-            continue
+    for x in part.grid[1:-1]:          # clamped: every one lies in (a, b)
         while cur_space.partition.multiplicity_of(float(x)) < m - 1:
             step, cur = insert_knot(cur_space, cur, float(x), strategy)
             cur_space = step.space
             steps.append(step)
-    segs = []
-    ctrls = []
-    for j in range(cur_space.partition.num_sections):
-        segs.append(cur_space.sections[j])
-        ctrls.append(cur.coefficients[j * (m - 1):j * (m - 1) + m].copy())
-    return BezierSegments(cur_space, cur, tuple(segs), tuple(ctrls), tuple(steps))
+    c = cur.coefficients
+    ctrls = tuple(c[j * (m - 1):j * (m - 1) + m].copy()
+                  for j in range(len(cur_space.sections)))
+    return BezierSegments(cur_space, cur, tuple(cur_space.sections), ctrls,
+                          tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +526,7 @@ def tile_periodic_coefficients(space: SplineSpace, free_coeffs) -> np.ndarray:
     if c.shape[0] != n_free:
         raise RefinementError(
             f"periodic design needs {n_free} free control points, got {c.shape[0]}")
-    rows = [c[i % n_free] for i in range(space.dim)]
-    return np.vstack([r[None, :] for r in rows])
+    return c[np.arange(space.dim) % n_free]
 
 
 def periodic_to_clamped(space: SplineSpace, spline: Spline

@@ -13,13 +13,13 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConnectionMatrixError, PartitionError, SingularSystemError
-from .partition import _interval_index, _run
+from .partition import _interval_index
 from .sections import ECSection
 
 # largest relative residual a solved transition row may keep
@@ -61,7 +61,6 @@ def validate_connection_matrix(M: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowReport:
-    index: int
     size: int
     condition: float
     residual: float
@@ -180,8 +179,7 @@ def _solve_stacked(specs: Sequence[RowSpec], jet_of
     for g, spec in enumerate(specs):
         sys_ = systems[g]
         if sys_ is None:
-            out.append((TransitionRow(spec.index, "step", spec.start, spec.stop,
-                                      spec.first_piece, ()), None))
+            out.append((TransitionRow("step", spec.start, spec.stop, ()), None))
             continue
         if isinstance(sys_, Exception):
             raise sys_
@@ -207,9 +205,8 @@ def _solve_stacked(specs: Sequence[RowSpec], jet_of
         offs = [0, *accumulate(s.order for s in spec.pieces)]
         coeffs = tuple(b[offs[j]:offs[j + 1]].copy()
                        for j in range(len(spec.pieces)))
-        out.append((TransitionRow(index, "ramp", spec.start, spec.stop,
-                                  spec.first_piece, coeffs),
-                    RowReport(index, len(b), cond, rel)))
+        out.append((TransitionRow("ramp", spec.start, spec.stop, coeffs),
+                    RowReport(len(b), cond, rel)))
     return out, len(groups)
 
 
@@ -219,11 +216,12 @@ def _solve_stacked(specs: Sequence[RowSpec], jet_of
 
 @dataclass(frozen=True)
 class TransitionRow:
-    index: int
+    """The solved f_i: support and coefficients per section crossed.  Its
+    index (the rows key) and first piece (specs[i].first_piece) live in the
+    table, so a refined table can share an unchanged row with its parent."""
     kind: str                      # "ramp" | "step"
     start: float
     stop: float
-    first_piece: int               # grid interval index of the first piece
     pieces: tuple[np.ndarray, ...]
 
 
@@ -235,6 +233,10 @@ class TransitionTable:
     sections: list[ECSection]
     rows: dict[int, TransitionRow]
     reports: dict[int, RowReport] = field(default_factory=dict)
+    # the Hermite system of each row: refined tables look rows up by spec
+    # key, and the specs keep the objects a key names by id() alive
+    specs: dict[int, RowSpec] = field(default_factory=dict, repr=False,
+                                      compare=False)
     _blocks: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -257,19 +259,19 @@ class TransitionTable:
         before lo (and f_1) are 1 there, the rows after (and f_{dim+1}) 0.
 
         Row supports are ordered, so the rows alive on an interval are
-        consecutive; step rows are never alive.  A block is built on first
-        use and cached.
+        consecutive; step rows are never alive.  Where each row's pieces
+        start comes from its spec.  A block is built on first use and cached.
         """
         if self._blocks is None:
-            rows = [self.rows[i] for i in range(2, self.dim + 1)]
-            self._blocks = ([row.first_piece for row in rows],
-                            [row.first_piece + len(row.pieces) for row in rows],
+            specs = [self.specs[i] for i in range(2, self.dim + 1)]
+            self._blocks = ([s.first_piece for s in specs],
+                            [s.first_piece + len(s.pieces) for s in specs],
                             {})
         starts, ends, blocks = self._blocks
         if j not in blocks:
             lo = 2 + bisect_right(ends, j)
             hi = 2 + bisect_right(starts, j)
-            P = np.array([self.rows[i].pieces[j - self.rows[i].first_piece]
+            P = np.array([self.rows[i].pieces[j - starts[i - 2]]
                           for i in range(lo, hi)], dtype=float)
             blocks[j] = (lo, P.reshape(hi - lo, self.sections[j].order))
         return blocks[j]
@@ -329,7 +331,8 @@ def _row_spec(grid: np.ndarray, sections: list[ECSection], starts, ends,
 
     The left count is the order of the first piece minus the run of start
     knots equal to starts_i from i on; the right count is the order of the
-    last piece minus the run of end knots equal to ends_e up to e; an inner
+    last piece minus the run of end knots equal to ends_e up to e (both
+    arrays are sorted, so a run ends where searchsorted puts it); an inner
     grid point j carries counts[j] continuity conditions.
     """
     lo, hi = float(starts[i - 1]), float(ends[e - 1])
@@ -340,15 +343,17 @@ def _row_spec(grid: np.ndarray, sections: list[ECSection], starts, ends,
     inner = range(g_lo + 1, g_hi)
     return RowSpec(i, lo, hi, g_lo, tuple(sections[g_lo:g_hi]),
                    tuple(grid[g_lo:g_hi + 1].tolist()),
-                   sections[g_lo].order - _run(starts, i - 1, 1),
+                   sections[g_lo].order
+                   - (int(starts.searchsorted(lo, "right")) - (i - 1)),
                    tuple(counts[j] for j in inner),
-                   sections[g_hi - 1].order - _run(ends, e - 1, -1),
+                   sections[g_hi - 1].order - (e - int(ends.searchsorted(hi))),
                    tuple(connections.get(j) for j in inner))
 
 
 def _assemble_table(space, known: dict) -> TransitionTable:
-    """The table of a single- or multi-order space.  A row whose spec key is
-    in known (key -> (row, report) of another table) is copied from there;
+    """The table of a single- or multi-order space, which keeps the spec of
+    each row.  A row whose spec key is in known (key -> (row, report) of
+    another table) takes that table's row and report objects as they are;
     the others are solved together by _solve_rows."""
     grid, specs = space._row_specs()
     hits = {i: known.get(spec.key) for i, spec in specs.items()}
@@ -357,18 +362,12 @@ def _assemble_table(space, known: dict) -> TransitionTable:
     fresh = iter(solved)
     rows: dict[int, TransitionRow] = {}
     reports: dict[int, RowReport] = {}
-    for i, spec in specs.items():
-        hit = hits[i]
-        if hit is None:
-            row, rep = next(fresh)
-        else:
-            row = replace(hit[0], index=i, first_piece=spec.first_piece)
-            rep = None if hit[1] is None else replace(hit[1], index=i)
-        rows[i] = row
+    for i in specs:
+        rows[i], rep = hits[i] or next(fresh)
         if rep is not None:
             reports[i] = rep
     table = TransitionTable(max(s.order for s in space.sections), space.dim,
-                            grid, space.sections, rows, reports)
+                            grid, space.sections, rows, reports, specs)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("transition table: %d rows solved, %d copied, %d stacked "
                    "solves, %d jets evaluated, max condition %.3e",
@@ -398,14 +397,9 @@ def detect_vanishing_order(table: TransitionTable, i: int, side: str = "left",
     if row.kind == "step":
         raise SingularSystemError(
             f"f_{i} is a step function; endpoint orders are undefined", index=i)
-    if side == "left":
-        x = row.start
-        sec = table.sections[row.first_piece]
-        coeff = row.pieces[0]
-    else:
-        x = row.stop
-        sec = table.sections[row.first_piece + len(row.pieces) - 1]
-        coeff = row.pieces[-1]
+    end = 0 if side == "left" else -1          # the first or the last piece
+    x = row.start if side == "left" else row.stop
+    sec, coeff = table.specs[i].pieces[end], row.pieces[end]
     cscale = np.abs(coeff).max()
     for r in range(1, cap + 1):
         vals = sec.eval_all(r, x)

@@ -1,5 +1,8 @@
 """The public surface of the package, written out: adding or removing a
-public name shows up in the diff of this list."""
+public name, or a public field of a result dataclass, shows up in the diff
+of these lists."""
+
+import dataclasses
 
 import chebspline
 
@@ -35,3 +38,25 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(chebspline.__all__) == PUBLIC
+
+
+# public fields, in order, of the dataclasses the library hands out
+FIELDS = {
+    "TransitionRow": ["kind", "start", "stop", "pieces"],
+    "RowReport": ["size", "condition", "residual"],
+    "RefinementStep": ["that", "ell", "mult", "alphas", "space", "formula",
+                       "strategy"],
+    "ElevationStep": ["r", "gammas", "deltas", "targets", "removal_residuals"],
+    "BezierSegments": ["space", "spline", "sections", "controls", "steps"],
+    "QECProfile": ["kbar_right", "kbar_left"],
+    "ExtendedPartition": ["order", "knots", "grid", "a", "b"],
+    "ECSection": ["family", "params", "interval", "order", "local_map",
+                  "anchor", "scale"],
+}
+
+
+def test_public_fields_are_pinned():
+    for name, fields in FIELDS.items():
+        got = [f.name for f in dataclasses.fields(getattr(chebspline, name))
+               if not f.name.startswith("_")]
+        assert got == fields, name

@@ -152,8 +152,9 @@ def row_integral(table, i, u, v):
     lo, hi = max(u, row.start), min(v, row.stop)
     if lo >= hi:
         return total
-    for k, coeff in enumerate(row.pieces):
-        j = row.first_piece + k
+    # the pieces start on the grid interval that holds row.start
+    first = int(table.grid.searchsorted(row.start))
+    for j, coeff in enumerate(row.pieces, start=first):
         seg_lo, seg_hi = max(lo, table.grid[j]), min(hi, table.grid[j + 1])
         if seg_lo < seg_hi:
             sec = table.sections[j]

@@ -159,6 +159,14 @@ def test_bezier(tmp_path):
         assert part.multiplicity_of(float(x)) == m - 1
 
 
+@pytest.mark.parametrize("command", ["bezier", "elevate"])
+def test_wraparound_bezier_and_elevate_are_kernel_errors(tmp_path, command):
+    out = tmp_path / "out.json"
+    res = run(command, "--input", CLOSED, "--output", out)
+    assert res.exit_code == 3, res.output
+    assert "periodic_to_clamped" in res.output and not out.exists()
+
+
 def test_clamp(tmp_path):
     out = tmp_path / "clamped.json"
     res = run("clamp", "--input", CLOSED, "--output", out)

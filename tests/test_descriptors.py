@@ -169,3 +169,35 @@ def test_kernel_errors_carry_the_descriptor_path(site):
     msg = str(err.value)
     assert msg.startswith(f"{where}: "), msg
     assert kernel_msg in msg
+
+
+NAN, INF = float("nan"), float("inf")
+# json reads and writes NaN and Infinity; a descriptor must not carry them
+NON_FINITE = {
+    "coefficient": ({"type": "spline", "space": _poly_space(),
+                     "coefficients": [0.0, NAN, 1.0]},
+                    "spline.coefficients[1]"),
+    "break point": (_poly_space(partition={"order": 3,
+                                           "breakpoints": [0.0, INF],
+                                           "multiplicities": []}),
+                    "space.partition.breakpoints[1]"),
+    "parameter": (_poly_space(sections=[{"family": "trigonometric",
+                                         "params": {"theta": NAN}}]),
+                  "space.sections[0].params.theta"),
+    "net": ({"type": "surface", "u_space": _poly_space(),
+             "v_space": _poly_space(),
+             "net": [[0.0, 1.0, 2.0], [0.0, -INF, 2.0], [0.0, 1.0, 2.0]]},
+            "surface.net"),
+}
+
+
+@pytest.mark.parametrize("site", list(NON_FINITE))
+def test_non_finite_numbers_are_descriptor_errors(tmp_path, site):
+    d, where = NON_FINITE[site]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    with pytest.raises(DescriptorError) as err:
+        load_object(path)
+    assert str(err.value).startswith(f"{where}: "), str(err.value)
+    assert "finite" in str(err.value)

@@ -56,6 +56,18 @@ def test_end_multiplicities_simple_knot():
     assert part.order - 1 - muR == 2
 
 
+def test_end_multiplicities_are_the_runs():
+    # an unclamped vector with runs of every length up to the order
+    knots = [-1.0, -0.5, 0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0, 1.5, 2.0]
+    part = partition_from_knots(4, knots)
+    for i, t in enumerate(knots, start=1):
+        left = next(n for n in range(1, i + 1)
+                    if n == i or knots[i - 1 - n] != t)
+        right = next(n for n in range(1, len(knots) - i + 2)
+                     if i - 1 + n == len(knots) or knots[i - 1 + n] != t)
+        assert part.end_multiplicities(i) == (left, right), i
+
+
 def test_round_trip():
     part = mixed_partition()
     again = build_extended_partition(part.breakpoints(),
@@ -80,3 +92,21 @@ def test_multiplicity_cap():
 def test_unsorted_breakpoints_rejected():
     with pytest.raises(PartitionError):
         build_extended_partition([0.0, 0.6, 0.4, 1.0], [1, 1], 3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_break_points_rejected(bad):
+    with pytest.raises(PartitionError, match="finite"):
+        build_extended_partition([0.0, bad, 1.0], [1], 3)
+    with pytest.raises(PartitionError, match="finite"):
+        build_extended_partition([bad, 1.0], [], 3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_knots_rejected(bad):
+    with pytest.raises(PartitionError, match="finite"):
+        partition_from_knots(3, [0.0, 0.0, 0.0, bad, 1.0, 1.0, 1.0])
+    # a grid must span the knots, which a non-finite value cannot
+    with pytest.raises(PartitionError):
+        partition_from_knots(3, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                             grid=[0.0, bad, 1.0])

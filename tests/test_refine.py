@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from chebspline import (ChebsplineError, KnotRemovalError, RefinementError,
-                        Spline, build_extended_partition,
+                        Spline, SplineSpace, build_extended_partition,
                         build_transition_table, elevate_order, insert_knot,
                         insert_knot_right, load_object, make_periodic_space,
                         make_section, make_spline_space, max_deviation,
@@ -243,6 +243,34 @@ def test_clamp_is_identity_on_clamped_input():
     assert out_space is space and out is spline
 
 
+def wraparound_spline():
+    knots = np.arange(-3.0, 8.0)
+    base = [make_section("polynomial", None, (float(j), float(j + 1)), 4)
+            if j % 2 else
+            make_section("trigonometric", {"theta": 1.0},
+                         (float(j), float(j + 1)), 4)
+            for j in range(4)]
+    space = make_periodic_space(4, knots, base, 4.0)
+    free = np.random.default_rng(17).normal(size=(4, 2))
+    return Spline(space, tile_periodic_coefficients(space, free))
+
+
+@pytest.mark.parametrize("spline", [
+    pytest.param(wraparound_spline(), id="generated"),
+    pytest.param(load_object(DESCRIPTORS / "tension_closed_curve.json"),
+                 id="tension_closed_curve")])
+def test_wraparound_splines_need_clamping_for_bezier_and_elevation(spline):
+    # the Bernstein windows assume m knots at a and b; past them the
+    # control slices would come out short or empty
+    for call in (lambda: to_bezier_segments(spline.space, spline),
+                 lambda: elevate_order(spline.space, spline, 1)):
+        with pytest.raises(RefinementError, match="periodic_to_clamped"):
+            call()
+    space, clamped = periodic_to_clamped(spline.space, spline)
+    bez = to_bezier_segments(space, clamped)
+    assert all(c.shape == (space.order, 2) for c in bez.controls)
+
+
 # the committed splines whose r = 1 elevation succeeds
 ELEVATES = {"trig_m3_open_curve", "trig_m4_open_curve"}
 SPLINES = [pytest.param(path, id=path.stem)
@@ -261,7 +289,7 @@ def refined_spaces(name, spline):
             yield insert_knot(space, spline, float(x))[0].space
     yield insert_knot_right(space, spline, x_new)[0].space
     yield remove_knot(step.space, fine, x_new)[0]
-    bez = to_bezier_segments(space, spline)
+    bez = to_bezier_segments(*periodic_to_clamped(space, spline))
     yield bez.space
     yield from (s.space for s in bez.steps)
     if name in ELEVATES:
@@ -277,6 +305,51 @@ def test_refined_tables_match_fresh_builds(path):
     spline = load_object(path)
     for space in refined_spaces(path.stem, spline):
         assert_same_table(space.table, build_transition_table(space))
+
+
+def shared_rows(old, new):
+    """(rows of new that are old's objects, rows whose spec old also has)."""
+    old_rows = {spec.key: (old.rows[i], old.reports.get(i))
+                for i, spec in old.specs.items()}
+    same, shared = 0, 0
+    for i, spec in new.specs.items():
+        if spec.key in old_rows:
+            same += 1
+            row, rep = old_rows[spec.key]
+            shared += new.rows[i] is row and new.reports.get(i) is rep
+    return shared, same
+
+
+@pytest.mark.parametrize("path", SPLINES)
+def test_refined_tables_share_the_parents_rows(path):
+    # a row whose Hermite system insertion or removal leaves alone is the
+    # parent's row object, and so is its report
+    spline = load_object(path)
+    space = spline.space
+    step, fine = insert_knot(space, spline, space.a + 0.37 * (space.b - space.a))
+    coarse, _, _ = remove_knot(step.space, fine, step.that)
+    for old, new in ((space, step.space), (step.space, coarse)):
+        shared, same = shared_rows(old.table, new.table)
+        assert shared == same > 0
+        assert new.dim - 1 - same <= space.order
+
+
+def test_insertion_and_removal_derive_only_the_new_specs(monkeypatch):
+    spline = load_object(DESCRIPTORS / "trig_m4_open_curve.json")
+    space = spline.space
+    space.table
+    derived = []
+    row_specs = SplineSpace._row_specs
+
+    def counted(self):
+        derived.append(self)
+        return row_specs(self)
+
+    monkeypatch.setattr(SplineSpace, "_row_specs", counted)
+    step, fine = insert_knot(space, spline, 0.3 * space.b + 0.7 * space.a)
+    assert list(map(id, derived)) == [id(step.space)]
+    coarse, _, _ = remove_knot(step.space, fine, step.that)
+    assert list(map(id, derived)) == [id(step.space), id(coarse)]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
