@@ -16,7 +16,7 @@ from .errors import PartitionError
 from .partition import (ExtendedPartition, _interval_index,
                         build_extended_partition)
 from .sections import ECSection
-from .transition import (TransitionTable, _row_spec, build_transition_table,
+from .transition import (TransitionTable, _row_specs, build_transition_table,
                          validate_connection_matrix)
 
 
@@ -64,9 +64,8 @@ class SplineSpace:
         counts = (m - t.searchsorted(grid, "right") + t.searchsorted(grid)).tolist()
         for g, M in self.connections.items():
             validate_connection_matrix(M, counts[g])
-        return grid, {i: _row_spec(grid, self.sections, t, t, counts,
-                                   self.connections, i, i + m - 1)
-                      for i in range(2, part.dim + 1)}
+        return grid, _row_specs(grid, self.sections, t, t, counts,
+                                self.connections, part.dim, m - 1)
 
     def support(self, i: int) -> tuple[float, float]:
         """Support [t_i, t_{i+m}] of basis function N_i."""

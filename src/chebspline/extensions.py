@@ -25,7 +25,7 @@ import numpy as np
 from .basis import sample_basis
 from .errors import PartitionError
 from .sections import ECSection
-from .transition import (TransitionTable, _row_spec, build_transition_table,
+from .transition import (TransitionTable, _row_specs, build_transition_table,
                          detect_vanishing_order, validate_connection_matrix)
 
 __all__ = [
@@ -75,9 +75,8 @@ class MultiOrderSpace:
         t_i to s_{i-1}, with k_j + 1 continuity conditions at break point x_j."""
         grid = self.grid
         counts = [0, *(k + 1 for k in self.continuities), 0]
-        return grid, {i: _row_spec(grid, self.sections, self.t_knots,
-                                   self.s_knots, counts, {}, i, i - 1)
-                      for i in range(2, self.dim + 1)}
+        return grid, _row_specs(grid, self.sections, self.t_knots,
+                                self.s_knots, counts, {}, self.dim, -1)
 
 
 def build_multiorder_space(sections: list[ECSection],

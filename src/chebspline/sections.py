@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,13 +26,35 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 # generator blocks (local coordinate t)
 # ---------------------------------------------------------------------------
-# A block holds one or more generators that share work.  jet(R, t, lo)
-# gives one column [D^lo u(t), .., D^R u(t)] per generator, antideriv(t) one
-# antiderivative per generator, at a float array t (0-d for one point).
+# A block holds one or more generators that share work.  jet(R, t, lo,
+# pointwise) gives one column [D^lo u(t), .., D^R u(t)] per generator,
+# antideriv(t) one antiderivative per generator, at a float array t (0-d
+# for one point).  A parameter is a number, or one value per section in an
+# (S, 1) array that broadcasts against a t of shape (S, 2) (both ends of S
+# sections); its powers are Python float powers either way (_pow).
 # Products, sums and elementary functions of t[()], the value of a 0-d t,
-# round exactly as on the 0-d array and cost a fraction of it.  Powers do
-# not: numpy's array power loop and the pow of a scalar differ in the last
-# bit for a few per cent of bases, so powers always take the array t.
+# round exactly as on the 0-d array, as on a t of any shape, and cost a
+# fraction of it.  Powers do not: numpy's array power loop and the pow of
+# one float64 differ in the last bit for a few per cent of bases, so powers
+# of t take the array t and keep a Python int or float exponent (so that
+# t**2 is numpy's square, as at one point).  pointwise says that every
+# element of t is a point on its own, as a 0-d t is; only Powers rounds
+# differently then.
+
+
+def _pow(p, r: int):
+    """p ** r by Python's float pow, per section for an array p."""
+    if isinstance(p, np.ndarray):
+        return np.array([v ** r for v in p.ravel().tolist()]).reshape(p.shape)
+    return p ** r
+
+
+def _scalar_pow(base, e: float):
+    """base ** e by numpy's pow of one float64 at every element of base."""
+    if isinstance(base, np.ndarray):
+        return np.array([b ** e for b in base.ravel()]).reshape(base.shape)
+    return base ** e
+
 
 class Monomials:
     """u_h(t) = t**(h-1) for h = 1..count."""
@@ -39,7 +62,7 @@ class Monomials:
     def __init__(self, count: int):
         self.count = count
 
-    def jet(self, R: int, t, lo: int = 0) -> list:
+    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
         zero = np.zeros_like(t) if R else None
         cols = []
         for k in range(self.count):
@@ -59,7 +82,7 @@ class Trigs:
     def __init__(self, theta: float):
         self.theta = theta
 
-    def jet(self, R: int, t, lo: int = 0) -> list:
+    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
         th = self.theta
         u = th * t[()]
         cols = []
@@ -67,7 +90,7 @@ class Trigs:
             arg = u + phase
             col = []
             for r in range(lo, R + 1):
-                col.append(th ** r * np.cos(arg + r * _HALF_PI))
+                col.append(_pow(th, r) * np.cos(arg + r * _HALF_PI))
             cols.append(col)
         return cols
 
@@ -83,7 +106,7 @@ class TTrigs:
     def __init__(self, theta: float):
         self.theta = theta
 
-    def jet(self, R: int, t, lo: int = 0) -> list:
+    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
         # D^r u = t th^r cos(a + r pi/2) + r th^(r-1) cos(a + (r-1) pi/2)
         th, t = self.theta, t[()]
         u = th * t
@@ -94,9 +117,9 @@ class TTrigs:
             col = []
             for r in range(lo, R + 1):
                 cos = np.cos(arg + r * _HALF_PI)
-                val = t * th ** r * cos
+                val = t * _pow(th, r) * cos
                 if r:
-                    val = val + r * th ** (r - 1) * prev
+                    val = val + r * _pow(th, r - 1) * prev
                 col.append(val)
                 prev = cos
             cols.append(col)
@@ -114,7 +137,7 @@ class Hyps:
     def __init__(self, phi: float):
         self.phi = phi
 
-    def jet(self, R: int, t, lo: int = 0) -> list:
+    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
         # even orders repeat the function itself, odd orders its partner
         phi = self.phi
         u = phi * t[()]
@@ -123,7 +146,7 @@ class Hyps:
         for even, odd in ((ch, sh), (sh, ch)):
             col = []
             for r in range(lo, R + 1):
-                col.append(phi ** r * (odd if r % 2 else even))
+                col.append(_pow(phi, r) * (odd if r % 2 else even))
             cols.append(col)
         return cols
 
@@ -137,34 +160,55 @@ class Powers:
 
     For a fractional exponent n the derivative of order r > n is unbounded
     at the base point; callers probing high orders must stop at the first
-    non-finite value.
+    non-finite value.  Exponents given one per section are applied one
+    section (one row of t) at a time: an exponent reaches pow as a number.
     """
 
-    def __init__(self, n1: float, n2: float):
-        self.exps = ((float(n1), True), (float(n2), False))
+    def __init__(self, n1, n2):
+        self.exps = tuple((n if isinstance(n, np.ndarray) else float(n), mirror)
+                          for n, mirror in ((n1, True), (n2, False)))
 
-    def jet(self, R: int, t, lo: int = 0) -> list:
+    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
         cols = []
         with np.errstate(divide="ignore"):
             for n, mirror in self.exps:
+                # 1 - t of a 0-d t is one float64, whose pow the mirror
+                # power keeps wherever points are evaluated on their own
                 base = (1.0 - t) if mirror else t
-                c = 1.0                           # n (n-1) .. (n-r+1)
-                for r in range(lo):
-                    c *= n - r
-                col = []
-                for r in range(lo, R + 1):
-                    if n.is_integer() and r > int(n):
-                        col.append(np.zeros_like(t))
-                        continue
-                    sign = (-1.0) ** r if mirror else 1.0
-                    col.append(sign * c * base ** (n - r))
-                    c *= n - r
-                cols.append(col)
+                power = _scalar_pow if mirror and pointwise else pow
+                if isinstance(n, np.ndarray):
+                    per_row = [_power_column(v, mirror, base[s], power, lo, R)
+                               for s, v in enumerate(n.ravel().tolist())]
+                    cols.append([np.array(col) for col in zip(*per_row)])
+                else:
+                    cols.append(_power_column(n, mirror, base, power, lo, R))
         return cols
 
     def antideriv(self, t) -> list:
         (n1, _), (n2, _) = self.exps
         return [-((1.0 - t) ** (n1 + 1)) / (n1 + 1), t ** (n2 + 1) / (n2 + 1)]
+
+
+def _power_column(n: float, mirror: bool, base, power, lo: int, R: int) -> list:
+    """D^lo .. D^R of base**n, with base = 1 - t for the mirror power."""
+    c = 1.0                           # n (n-1) .. (n-r+1)
+    for r in range(lo):
+        c *= n - r
+    col = []
+    for r in range(lo, R + 1):
+        if n.is_integer() and r > int(n):
+            col.append(np.zeros_like(base))
+            continue
+        sign = (-1.0) ** r if mirror else 1.0
+        col.append(sign * c * power(base, n - r))
+        c *= n - r
+    return col
+
+
+# the numerators (1-t)**3 and t**3 of RationalCubics, ascending powers, with
+# their derivatives
+_CUBICS = (np.array([1.0, -3.0, 3.0, -1.0]), np.array([0.0, 0.0, 0.0, 1.0]))
+_CUBIC_JETS = [[p] + [npoly.polyder(p, s) for s in (1, 2, 3)] for p in _CUBICS]
 
 
 class RationalCubics:
@@ -176,46 +220,27 @@ class RationalCubics:
     of the remainder over the real roots of q (which lie outside [0,1]).
     """
 
-    def __init__(self, nu: float):
-        self.nu = float(nu)
-        k = self.k = self.nu - 3.0
-        self._q = np.array([1.0, k, -k])  # 1 + k t - k t^2
-        # numerators, ascending powers, with their derivatives
-        nums = (np.array([1.0, -3.0, 3.0, -1.0]), np.array([0.0, 0.0, 0.0, 1.0]))
-        self._dp = [[p] + [npoly.polyder(p, s) for s in (1, 2, 3)] for p in nums]
-        self._quot_int, self._residues = [], []
-        if k != 0.0:
-            disc = math.sqrt(k * k + 4.0 * k)
-            self._roots = ((k + disc) / (2.0 * k), (k - disc) / (2.0 * k))
-            dq = npoly.polyder(self._q)
-            for p in nums:
-                quot, rem = npoly.polydiv(p, self._q)
-                self._quot_int.append(npoly.polyint(quot))
-                self._residues.append(tuple(npoly.polyval(r, rem) / npoly.polyval(r, dq)
-                                            for r in self._roots))
-        else:
-            self._roots = ()
-            for p in nums:
-                self._quot_int.append(npoly.polyint(p))
-                self._residues.append(())
+    def __init__(self, nu):
+        self.k = nu - 3.0
 
     def _qder(self, s: int, t):
-        if s == 0:
-            return npoly.polyval(t, self._q)
+        k = self.k
+        if s == 0:            # Horner on (1, k, -k), as numpy's polyval
+            return 1.0 + (k + (-k + t * 0) * t) * t
         if s == 1:
-            return self.k - 2.0 * self.k * t
+            return k - 2.0 * k * t
         if s == 2:
-            return np.full_like(t, -2.0 * self.k)
+            return np.full_like(t, -2.0 * k)
         return np.zeros_like(t)
 
-    def jet(self, R: int, t, lo: int = 0) -> list:
+    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
         # the recurrence needs every lower order
         t = t[()]
         dq = []
         for s in range(R + 1):
             dq.append(self._qder(s, t))
         cols = []
-        for dp in self._dp:
+        for dp in _CUBIC_JETS:
             fs = []
             for rr in range(R + 1):
                 acc = (npoly.polyval(t, dp[rr]) if rr <= 3
@@ -226,11 +251,31 @@ class RationalCubics:
             cols.append(fs[lo:])
         return cols
 
+    @cached_property
+    def _partial_fractions(self) -> tuple:
+        """(roots of q, antiderivative of the quotient and residues per
+        numerator) of a number nu."""
+        k = self.k
+        if k == 0.0:
+            return (), [(npoly.polyint(p), ()) for p in _CUBICS]
+        q = np.array([1.0, k, -k])  # 1 + k t - k t^2
+        disc = math.sqrt(k * k + 4.0 * k)
+        roots = ((k + disc) / (2.0 * k), (k - disc) / (2.0 * k))
+        dq = npoly.polyder(q)
+        terms = []
+        for p in _CUBICS:
+            quot, rem = npoly.polydiv(p, q)
+            terms.append((npoly.polyint(quot),
+                          tuple(npoly.polyval(r, rem) / npoly.polyval(r, dq)
+                                for r in roots)))
+        return roots, terms
+
     def antideriv(self, t) -> list:
+        roots, terms = self._partial_fractions
         out = []
-        for quot_int, residues in zip(self._quot_int, self._residues):
+        for quot_int, residues in terms:
             val = npoly.polyval(t, quot_int)
-            for root, res in zip(self._roots, residues):
+            for root, res in zip(roots, residues):
                 val = val + res * np.log(np.abs(t - root))
             out.append(val)
         return out
@@ -248,7 +293,11 @@ class Family:
     build: Callable                       # (params, order) -> generator blocks
     forced_map: str | None = None         # map convention that must be used
     affine_invariant: bool = True         # span closed under affine t-substitution
-    frequency_params: tuple[str, ...] = ()
+    # the parameters build reads, all frequencies in an affine-invariant
+    # family; the blocks also take each as one value per section, an (S, 1)
+    # array, so that end_jets evaluates sections of one family and order
+    # together
+    param_names: tuple[str, ...] = ()
     qec: bool = False                     # may need probed vanishing orders
 
 
@@ -361,22 +410,24 @@ FAMILIES: dict[str, Family] = {
     "polynomial": Family("polynomial", "shift", _validate_polynomial,
                          _build_polynomial),
     "trigonometric": Family("trigonometric", "shift", _validate_trig,
-                            _build_trig, frequency_params=("theta",)),
+                            _build_trig, param_names=("theta",)),
     "hyperbolic": Family("hyperbolic", "shift", _validate_hyp, _build_hyp,
-                         frequency_params=("phi",)),
+                         param_names=("phi",)),
     "mixed": Family("mixed", "shift", _validate_mixed, _build_mixed,
-                    frequency_params=("theta", "phi")),
+                    param_names=("theta", "phi")),
     "trig-envelope": Family("trig-envelope", "shift", _validate_envelope,
-                            _build_envelope, frequency_params=("theta",)),
+                            _build_envelope, param_names=("theta",)),
     "rational-tension": Family("rational-tension", "normalized",
                                _validate_rational, _build_rational,
-                               forced_map="normalized", affine_invariant=False),
+                               forced_map="normalized", affine_invariant=False,
+                               param_names=("nu",)),
     "multi-frequency-trig": Family("multi-frequency-trig", "shift",
                                    _validate_multifreq, _build_multifreq,
-                                   frequency_params=("theta",)),
+                                   param_names=("theta",)),
     "variable-degree": Family("variable-degree", "normalized", _validate_vardeg,
                               _build_vardeg, forced_map="normalized",
-                              affine_invariant=False, qec=True),
+                              affine_invariant=False, param_names=("n1", "n2"),
+                              qec=True),
 }
 
 
@@ -416,18 +467,8 @@ class ECSection:
         return self._rows(r, r, x)[0]
 
     def _rows(self, lo: int, R: int, x) -> np.ndarray:
-        """Rows D^lo .. D^R of the jet; the orders below lo are skipped
-        where no recurrence needs them."""
-        t = np.asarray(self.to_local(x), dtype=float)
-        cols = []
-        for block in self._blocks:
-            cols += block.jet(R, t, lo)
-        J = np.array(cols, dtype=float).swapaxes(0, 1)
-        if R:                           # D^r picks up scale**r; rows contiguous
-            J = np.ascontiguousarray(J)
-            for r in range(max(lo, 1), R + 1):
-                J[r - lo] *= self.scale ** r
-        return J
+        t = np.asarray(self.to_local(x))   # a 0-d array at one point
+        return _jet_rows(self._blocks, self.scale, lo, R, t, t.ndim == 0)
 
     def integral_all(self, x) -> np.ndarray:
         """Integrals of all generators from the section's left endpoint to x."""
@@ -451,6 +492,52 @@ class ECSection:
             raise InvalidSectionError("restriction interval exceeds the parent section")
         return ECSection(self.family, dict(self.params), (float(x0), float(x1)),
                          self.order, self.local_map, self.anchor, self.scale)
+
+
+def _jet_rows(blocks, scale, lo: int, R: int, t, pointwise: bool) -> np.ndarray:
+    """Rows D^lo .. D^R of the generators of blocks at the local
+    coordinates t, in x-units: shape (R-lo+1, m) + t.shape.  The orders
+    below lo are skipped where no recurrence needs them."""
+    cols = []
+    for block in blocks:
+        cols += block.jet(R, t, lo, pointwise)
+    J = np.array(cols, dtype=float).swapaxes(0, 1)
+    if R:                           # D^r picks up scale**r; rows contiguous
+        J = np.ascontiguousarray(J)
+        for r in range(max(lo, 1), R + 1):
+            J[r - lo] *= _pow(scale, r)
+    return J
+
+
+def end_jets(sections: Sequence[ECSection], ends) -> list[np.ndarray]:
+    """Rows D^0 .. D^(m-1) of the generators of each section at its two ends
+    (x-units, ends[s] = (x0, x1) for sections[s] of order m): one (2, m, m)
+    array per section, equal bit for bit to
+    [sections[s].jet(m - 1, x) for x in ends[s]].
+
+    Sections of one family and order are evaluated together, with one
+    value per section of each parameter, of the anchor and of the scale.
+    """
+    ends = np.asarray(ends, dtype=float).reshape(len(sections), 2)
+    groups: dict[tuple, list[int]] = {}
+    for s, sec in enumerate(sections):
+        groups.setdefault((sec.family, sec.order), []).append(s)
+    out: list = [None] * len(sections)
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    for (family, order), idx in groups.items():
+        secs = [sections[s] for s in idx]
+        fam = FAMILIES[family]
+        params = {k: column([sec.params[k] for sec in secs])
+                  for k in fam.param_names}
+        scale = column([sec.scale for sec in secs])
+        t = (ends[idx] - column([sec.anchor for sec in secs])) * scale
+        J = _jet_rows(fam.build(params, order), scale, 0, order - 1, t, True)
+        for s, J_s in zip(idx, np.ascontiguousarray(J.transpose(2, 3, 0, 1))):
+            out[s] = J_s
+    return out
 
 
 def _map_for(local_map: str, interval) -> tuple[float, float]:
@@ -520,7 +607,7 @@ def split_section(section: ECSection, xhat: float,
         new_anchor, new_scale = _map_for(section.local_map, (lo, hi))
         factor = section.scale / new_scale
         params = dict(section.params)
-        for name in fam.frequency_params:
+        for name in fam.param_names:
             params[name] = params[name] * factor
         halves.append(make_section(section.family, params, (lo, hi),
                                    section.order, section.local_map))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConnectionMatrixError, PartitionError, SingularSystemError
 from .partition import _interval_index
-from .sections import ECSection
+from .sections import ECSection, end_jets
 
 # largest relative residual a solved transition row may keep
 RESIDUAL_TOL = 1e-8
@@ -107,26 +107,23 @@ def _hermite_system(spec: RowSpec, jet) -> tuple[np.ndarray, np.ndarray]:
 def _solve_rows(specs: Sequence[RowSpec]
                 ) -> tuple[list[tuple[TransitionRow, RowReport | None]], int, int]:
     """Solve the rows of one table: (row, report) per spec in order, the
-    number of stacked solves and the number of generator jets evaluated.
+    number of stacked solves and the number of section ends evaluated.
 
     The specs share one grid, so the conditions at a section end come from
-    one jet, evaluated on first use.  The rows are solved _STACK_ROWS at a
-    time, in spec order, and the first failing row raises, as it would
-    alone.
+    one jet.  Both ends of every section a row crosses are evaluated up
+    front, in one end_jets call.  The rows are solved _STACK_ROWS at a time,
+    in spec order, and the first failing row raises, as it would alone.
     """
-    jets: dict[tuple[int, int], np.ndarray] = {}
+    ends = {spec.first_piece + k: (sec, spec.points[k:k + 2])
+            for spec in specs for k, sec in enumerate(spec.pieces)}
+    jets = dict(zip(ends, end_jets([sec for sec, _ in ends.values()],
+                                   [x for _, x in ends.values()])))
 
     def jet_of(spec):
         def jet(k, end, cnt):
-            sec = spec.pieces[k]
             if not cnt:
-                return np.zeros((0, sec.order))
-            key = (spec.first_piece + k, end)
-            J = jets.get(key)
-            if J is None or len(J) < cnt:
-                J = jets[key] = sec.jet(max(sec.order, cnt) - 1,
-                                        spec.points[k + end])
-            return J[:cnt]
+                return np.zeros((0, spec.pieces[k].order))
+            return jets[spec.first_piece + k][end][:cnt]
         return jet
 
     out, stacks = [], 0
@@ -134,14 +131,14 @@ def _solve_rows(specs: Sequence[RowSpec]
         rows, n = _solve_stacked(specs[lo:lo + _STACK_ROWS], jet_of)
         out += rows
         stacks += n
-    return out, stacks, len(jets)
+    return out, stacks, 2 * len(jets)
 
 
 def _solve_stacked(specs: Sequence[RowSpec], jet_of
                    ) -> tuple[list[tuple[TransitionRow, RowReport | None]], int]:
     """(row, report) per spec, and the number of stacks.  Systems of equal
-    size are equilibrated and solved as one stack; a stack LAPACK rejects is
-    solved row by row."""
+    size are equilibrated, solved and checked as one stack; a stack LAPACK
+    rejects is solved row by row."""
     systems: list = []            # (A, c) per ramp row, None per step row
     groups: dict[int, list[int]] = {}         # size -> rows, in spec order
     for g, spec in enumerate(specs):
@@ -152,28 +149,37 @@ def _solve_stacked(specs: Sequence[RowSpec], jet_of
         systems.append(sys_)
         if isinstance(sys_, tuple):
             groups.setdefault(len(sys_[1]), []).append(g)
-    solved: dict[int, tuple] = {}             # g -> (cond, y or error, col_s)
+    solved: dict[int, tuple] = {}    # g -> (cond, solve error, b, residual)
     for idx in groups.values():
         A = np.stack([systems[g][0] for g in idx])
+        C = np.stack([systems[g][1] for g in idx])
         row_s = np.abs(A).max(axis=2)
         row_s[row_s == 0] = 1.0
         A_eq = A / row_s[:, :, None]
         col_s = np.abs(A_eq).max(axis=1)
         col_s[col_s == 0] = 1.0
         A_eq = A_eq / col_s[:, None, :]
-        c_eq = np.stack([systems[g][1] for g in idx]) / row_s
-        cond = np.linalg.cond(A_eq, 1)
+        c_eq = C / row_s
+        cond = np.linalg.cond(A_eq, 1).tolist()
+        errors: dict[int, Exception] = {}
         try:
-            ys = list(np.linalg.solve(A_eq, c_eq[:, :, None])[:, :, 0])
+            Y = np.linalg.solve(A_eq, c_eq[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            ys = []
-            for a, b in zip(A_eq, c_eq):
+            Y = np.zeros_like(c_eq)
+            for k, (a, c) in enumerate(zip(A_eq, c_eq)):
                 try:
-                    ys.append(np.linalg.solve(a, b))
+                    Y[k] = np.linalg.solve(a, c)
                 except np.linalg.LinAlgError as exc:
-                    ys.append(exc)
+                    errors[k] = exc
+        B = Y / col_s
+        # the relative residual |A b - c| / (|A| |b| + 1) in the inf-norm,
+        # row by row: the stacked product rounds as A @ b does
+        res = (A @ B[:, :, None])[:, :, 0] - C
+        rel = (np.abs(res).max(axis=1)
+               / (np.abs(A).sum(axis=2).max(axis=1) * np.abs(B).max(axis=1)
+                  + 1.0)).tolist()
         for k, g in enumerate(idx):
-            solved[g] = (float(cond[k]), ys[k], col_s[k])
+            solved[g] = (cond[k], errors.get(k), B[k], rel[k])
 
     out = []
     for g, spec in enumerate(specs):
@@ -183,19 +189,14 @@ def _solve_stacked(specs: Sequence[RowSpec], jet_of
             continue
         if isinstance(sys_, Exception):
             raise sys_
-        A, c = sys_
-        cond, y, col_s = solved[g]
+        cond, error, b, rel = solved[g]
         index = spec.index
-        if isinstance(y, Exception):
+        if error is not None:
             raise SingularSystemError(
                 f"transition system for f_{index} is singular "
                 f"(condition estimate {cond:.3e}); the space does not admit a "
                 f"numerically usable B-spline basis", index=index,
-                condition=cond) from y
-        b = y / col_s
-        res = A @ b - c
-        denom = np.linalg.norm(A, np.inf) * np.linalg.norm(b, np.inf) + 1.0
-        rel = float(np.linalg.norm(res, np.inf) / denom)
+                condition=cond) from error
         if rel > RESIDUAL_TOL:
             raise SingularSystemError(
                 f"transition system for f_{index} solved with relative residual "
@@ -315,39 +316,49 @@ class RowSpec:
     right: int = 0
     connections: tuple[np.ndarray | None, ...] = ()
 
-    @property
-    def key(self) -> tuple:
-        """Equal keys give the identical linear system: equal points and
-        counts, the same section and connection objects."""
-        return (self.start, self.stop, self.points, self.left, self.interior,
-                self.right, tuple(map(id, self.pieces)),
-                tuple(map(id, self.connections)))
+    # equal keys give the identical linear system: equal points and counts,
+    # the same section and connection objects; refined tables look their
+    # parent's rows up by the keys the parent's specs hold
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (
+            self.start, self.stop, self.points, self.left, self.interior,
+            self.right, tuple(map(id, self.pieces)),
+            tuple(map(id, self.connections))))
 
 
-def _row_spec(grid: np.ndarray, sections: list[ECSection], starts, ends,
-              counts, connections: dict, i: int, e: int) -> RowSpec:
-    """The conditions of f_i, which ramps from the start knot starts_i to the
-    end knot ends_e (1-based indices into the full knot arrays).
+def _row_specs(grid: np.ndarray, sections: list[ECSection], starts, ends,
+               counts, connections: dict, dim: int, shift: int
+               ) -> dict[int, RowSpec]:
+    """The conditions of f_2 .. f_dim: f_i ramps from the start knot
+    starts_i to the end knot ends_(i+shift) (1-based indices into the full
+    knot arrays).
 
     The left count is the order of the first piece minus the run of start
     knots equal to starts_i from i on; the right count is the order of the
-    last piece minus the run of end knots equal to ends_e up to e (both
-    arrays are sorted, so a run ends where searchsorted puts it); an inner
-    grid point j carries counts[j] continuity conditions.
+    last piece minus the run of end knots equal to ends_e up to e = i+shift
+    (both arrays are sorted, so a run ends where searchsorted puts it); an
+    inner grid point j carries counts[j] continuity conditions.  One
+    searchsorted per array serves every row.
     """
-    lo, hi = float(starts[i - 1]), float(ends[e - 1])
-    g_lo = int(grid.searchsorted(lo))
-    if lo >= hi:
-        return RowSpec(i, lo, lo, g_lo)
-    g_hi = int(grid.searchsorted(hi))
-    inner = range(g_lo + 1, g_hi)
-    return RowSpec(i, lo, hi, g_lo, tuple(sections[g_lo:g_hi]),
-                   tuple(grid[g_lo:g_hi + 1].tolist()),
-                   sections[g_lo].order
-                   - (int(starts.searchsorted(lo, "right")) - (i - 1)),
-                   tuple(counts[j] for j in inner),
-                   sections[g_hi - 1].order - (e - int(ends.searchsorted(hi))),
-                   tuple(connections.get(j) for j in inner))
+    rows = np.arange(2, dim + 1)
+    last = rows + shift
+    lo, hi = starts[rows - 1], ends[last - 1]
+    columns = (rows, lo, hi, grid.searchsorted(lo), grid.searchsorted(hi),
+               starts.searchsorted(lo, "right") - (rows - 1),     # left runs
+               last - ends.searchsorted(hi))                      # right runs
+    points = grid.tolist()
+    specs = {}
+    for i, x0, x1, a, b, run0, run1 in zip(*(c.tolist() for c in columns)):
+        if x0 >= x1:
+            specs[i] = RowSpec(i, x0, x0, a)
+            continue
+        specs[i] = RowSpec(i, x0, x1, a, tuple(sections[a:b]),
+                           tuple(points[a:b + 1]), sections[a].order - run0,
+                           tuple(counts[a + 1:b]), sections[b - 1].order - run1,
+                           tuple(connections.get(j) for j in range(a + 1, b)))
+    return specs
 
 
 def _assemble_table(space, known: dict) -> TransitionTable:
@@ -358,7 +369,7 @@ def _assemble_table(space, known: dict) -> TransitionTable:
     grid, specs = space._row_specs()
     hits = {i: known.get(spec.key) for i, spec in specs.items()}
     todo = [spec for i, spec in specs.items() if hits[i] is None]
-    solved, stacks, jets = _solve_rows(todo)
+    solved, stacks, ends = _solve_rows(todo)
     fresh = iter(solved)
     rows: dict[int, TransitionRow] = {}
     reports: dict[int, RowReport] = {}
@@ -370,9 +381,9 @@ def _assemble_table(space, known: dict) -> TransitionTable:
                             grid, space.sections, rows, reports, specs)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("transition table: %d rows solved, %d copied, %d stacked "
-                   "solves, %d jets evaluated, max condition %.3e",
+                   "solves, %d section ends evaluated, max condition %.3e",
                    sum(rep is not None for _, rep in solved),
-                   len(specs) - len(todo), stacks, jets, table.max_condition)
+                   len(specs) - len(todo), stacks, ends, table.max_condition)
     return table
 
 

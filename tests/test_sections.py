@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chebspline import InvalidSectionError, make_section, split_section
-from chebspline.sections import antiderivative_generator, eval_generator
+from chebspline.sections import (FAMILIES, antiderivative_generator, end_jets,
+                                 eval_generator)
 
 
 def test_make_trig_section_shift_map():
@@ -252,7 +253,8 @@ def test_jet_rows_are_the_one_order_formulas(family, params, order, lmap):
     sec = make_section(family, params, (0.3, 0.9), order, lmap)
     gens = _generators(family, params, order)
     lo, hi = sec.interval
-    xs = np.array([lo, 0.47, 0.8, hi])
+    rng = np.random.default_rng(order)
+    xs = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, 998)), [hi]])
     for x in (lo, hi, xs):
         t = sec.to_local(x)
         for R in range(order + 3):
@@ -263,6 +265,67 @@ def test_jet_rows_are_the_one_order_formulas(family, params, order, lmap):
                                 dtype=float)
                 assert J[r].tobytes() == want.tobytes(), (x, R, r)
                 assert sec.eval_all(r, x).tobytes() == want.tobytes()
+
+
+# orders each family is drawn at, and its parameters for a local length
+ORDERS = {"polynomial": (1, 7), "mixed": (5, 8), "trig-envelope": (5, 8),
+          "rational-tension": (4, 5), "multi-frequency-trig": (5, 6)}
+
+
+def random_params(rng, family, m, local):
+    theta = rng.uniform(0.05, 0.99) * math.pi / local   # theta * local < pi
+    phi = rng.uniform(0.1, 5.0) / local
+    if family == "variable-degree":     # whole or fractional, >= m - 2
+        n1, n2 = (float(rng.integers(m - 2, m + 6)) if rng.uniform() < 0.5
+                  else rng.uniform(m - 2, m + 5) for _ in range(2))
+        return {"n1": n1 + 0.5 if n1 == n2 == m - 2 else n1, "n2": n2}
+    if family == "rational-tension":
+        return {"nu": 3.0 if rng.uniform() < 0.2 else rng.uniform(3.0, 12.0)}
+    return {"polynomial": None, "trigonometric": {"theta": theta},
+            "hyperbolic": {"phi": phi}, "mixed": {"theta": theta, "phi": phi},
+            "trig-envelope": {"theta": 2.0 * theta},
+            "multi-frequency-trig": {"theta": theta}}[family]
+
+
+def random_sections(rng, family, count):
+    """count valid sections of one family on random intervals of length
+    1e-3 to 2, under both local maps where the family allows both."""
+    forced = FAMILIES[family].forced_map
+    out = []
+    for _ in range(count):
+        x0, h = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.3)
+        lmap = forced or ("shift", "normalized")[rng.integers(2)]
+        m = int(rng.integers(*ORDERS.get(family, (3, 7))))
+        params = random_params(rng, family, m, h if lmap == "shift" else 1.0)
+        out.append(make_section(family, params, (x0, x0 + h), m, lmap))
+    return out
+
+
+def test_end_jets_are_the_jets_at_each_end():
+    # the table build's end jets, all families in one call, against one
+    # jet per section end
+    rng = np.random.default_rng(2016)
+    secs = [sec for family in FAMILIES
+            for sec in random_sections(rng, family, 200)]
+    jets = end_jets(secs, [sec.interval for sec in secs])
+    for sec, J in zip(secs, jets):
+        assert J.shape == (2, sec.order, sec.order)
+        for end, x in enumerate(sec.interval):
+            assert J[end].tobytes() == sec.jet(sec.order - 1, x).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_sections_are_the_one_order_formulas(family):
+    rng = np.random.default_rng(len(family))
+    for sec in random_sections(rng, family, 20):
+        gens = _generators(family, sec.params, sec.order)
+        x0, x1 = sec.interval
+        xs = np.concatenate([[x0], rng.uniform(x0, x1, 998), [x1]])
+        t = sec.to_local(xs)
+        for r in range(sec.order):
+            want = np.array([sec.scale ** r * _order_r(g, r, t) for g in gens],
+                            dtype=float)
+            assert sec.eval_all(r, xs).tobytes() == want.tobytes(), r
 
 
 def test_degenerate_variable_degree_rejected():

@@ -8,12 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chebspline import (Spline, build_extended_partition,
-                        build_transition_table, insert_knot, make_section,
+                        build_multiorder_space, build_transition_table,
+                        insert_knot, make_section,
                         make_spline_space, one_section_space, remove_knot,
-                        sample_transitions, transition,
+                        sample_transitions, sections, transition,
                         validate_connection_matrix)
 from chebspline.errors import ConnectionMatrixError, SingularSystemError
-from chebspline.sections import ECSection
 
 
 def bernstein_table():
@@ -138,33 +138,39 @@ def trig_space(n_intervals, order=4, theta=1.0):
     return make_spline_space(part, secs)
 
 
-def count_jets(monkeypatch, only_while_solving=False):
-    """Record (section, x) of every ECSection.jet call, or only of those made
-    while transition._solve_rows runs; also record the specs it solves."""
-    calls, solved, active = [], [], []
-    jet, solve = ECSection.jet, transition._solve_rows
+def count_jets(monkeypatch):
+    """Record (section, x) of every section end that transition._solve_rows
+    evaluates, through its one batched end_jets call per table, the
+    end_jets calls and the generator passes (one per group of sections
+    evaluated together); also record the specs it solves."""
+    calls, batches, passes, solved = [], [], [], []
+    end_jets, jet_rows, solve = (transition.end_jets, sections._jet_rows,
+                                 transition._solve_rows)
 
-    def counted_jet(self, R, x):
-        if active or not only_while_solving:
-            calls.append((self, float(x)))
-        return jet(self, R, x)
+    def counted_end_jets(secs, ends):
+        batches.append(len(secs))
+        calls.extend((sec, float(x)) for sec, pair in zip(secs, ends)
+                     for x in pair)
+        return end_jets(secs, ends)
+
+    def counted_jet_rows(blocks, scale, lo, R, t, pointwise):
+        if np.ndim(t) == 2:                  # both ends of several sections
+            passes.append(t.shape[0])
+        return jet_rows(blocks, scale, lo, R, t, pointwise)
 
     def counted_solve(specs):
         solved.extend(specs)
-        active.append(True)
-        try:
-            return solve(specs)
-        finally:
-            active.pop()
+        return solve(specs)
 
-    monkeypatch.setattr(ECSection, "jet", counted_jet)
+    monkeypatch.setattr(transition, "end_jets", counted_end_jets)
+    monkeypatch.setattr(sections, "_jet_rows", counted_jet_rows)
     monkeypatch.setattr(transition, "_solve_rows", counted_solve)
-    return calls, solved
+    return calls, batches, passes, solved
 
 
 def test_fresh_table_evaluates_each_section_end_once(monkeypatch):
     space = trig_space(12)
-    calls, _ = count_jets(monkeypatch)
+    calls, batches, passes, _ = count_jets(monkeypatch)
     table = build_transition_table(space)
     per_section = Counter(id(sec) for sec, _ in calls)
     assert len(calls) == len({(id(sec), x) for sec, x in calls})
@@ -172,22 +178,107 @@ def test_fresh_table_evaluates_each_section_end_once(monkeypatch):
     assert len(calls) <= 2 * len(table.sections)
     for sec, x in calls:
         assert x in sec.interval
+    # one batched call per table, one pass for sections of one family
+    assert batches == [len(table.sections)] and passes == batches
 
 
 def test_removal_evaluates_jets_only_where_rows_are_resolved(monkeypatch):
     space = trig_space(11)
     spline = Spline(space, np.random.default_rng(3).normal(size=(space.dim, 2)))
     step, fine = insert_knot(space, spline, 1.1)
-    calls, solved = count_jets(monkeypatch, only_while_solving=True)
+    calls, batches, _, solved = count_jets(monkeypatch)
     coarse, _, _ = remove_knot(step.space, fine, 1.1)
-    sections = coarse.table.sections
+    secs = coarse.table.sections
     touched = {j for spec in solved
                for j in range(spec.first_piece, spec.first_piece + len(spec.pieces))}
     assert solved and calls
-    assert len(touched) < len(sections)
+    assert len(touched) < len(secs)
+    assert sum(batches) == len(touched)
     for sec, x in calls:
-        j = next(j for j, s in enumerate(sections) if s is sec)
+        j = next(j for j, s in enumerate(secs) if s is sec)
         assert j in touched and x in sec.interval
+
+
+# every family at an order it takes, with its parameters for an interval
+# of length at most 1 (under the shift map) and its local map
+FAMILY_CASES = [
+    ("polynomial", 3, lambda rng: None, None),
+    ("trigonometric", 4, lambda rng: {"theta": rng.uniform(0.5, 3.0)}, "shift"),
+    ("trigonometric", 3, lambda rng: {"theta": rng.uniform(0.5, 3.0)},
+     "normalized"),
+    ("hyperbolic", 3, lambda rng: {"phi": rng.uniform(0.5, 4.0)}, None),
+    ("mixed", 5, lambda rng: {"theta": rng.uniform(0.5, 3.0),
+                              "phi": rng.uniform(0.5, 4.0)}, None),
+    ("trig-envelope", 5, lambda rng: {"theta": rng.uniform(0.5, 6.0)}, None),
+    ("rational-tension", 4, lambda rng: {"nu": rng.uniform(3.0, 10.0)}, None),
+    ("multi-frequency-trig", 5, lambda rng: {"theta": rng.uniform(0.5, 3.0)},
+     None),
+    ("variable-degree", 4, lambda rng: {"n1": rng.uniform(3.0, 9.0),
+                                        "n2": float(rng.integers(3, 9))}, None),
+]
+
+
+def family_space(rng, family, m, params, lmap, mults, connections=None):
+    """Sections of one family (fresh parameters each) on jittered break
+    points of [0, 1] with the given interior multiplicities."""
+    bp = np.linspace(0.0, 1.0, len(mults) + 2)
+    bp[1:-1] += rng.uniform(-0.3, 0.3, len(mults)) / (len(mults) + 1)
+    part = build_extended_partition(bp, mults, m)
+    secs = [make_section(family, params(rng), (bp[j], bp[j + 1]), m, lmap)
+            for j in range(len(bp) - 1)]
+    return make_spline_space(part, secs, connections)
+
+
+def stacked_build_cases():
+    rng = np.random.default_rng(21)
+    for family, m, params, lmap in FAMILY_CASES:
+        mults = [1, 2, 1, 1, m - 1, 1, 1, 1, 2, 1, 1]
+        yield family, family_space(rng, family, m, params, lmap, mults)
+    mixed = ("mixed", 5, FAMILY_CASES[4][2], None)
+    yield "zero multiplicity", family_space(rng, *mixed, [1, 0, 2, 0, 0, 1, 3])
+    M = np.array([[1.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, -0.4, 0.7]])
+    yield "connections", family_space(rng, "trigonometric", 4, FAMILY_CASES[1][2],
+                                      "shift", [1, 1, 1, 1, 1, 2, 1, 1, 1],
+                                      {3: M, 6: M[:2, :2]})
+    # more rows than one stack holds, of every row size
+    yield "three stacks", family_space(rng, "hyperbolic", 4, FAMILY_CASES[3][2],
+                                       None, [1, 2, 3, 0] * 40)
+    secs = [make_section(fam, p, iv, m) for fam, p, iv, m in (
+        ("polynomial", None, (0.0, 0.2), 2),
+        ("trigonometric", {"theta": 2.0}, (0.2, 0.45), 4),
+        ("mixed", {"theta": 1.5, "phi": 2.0}, (0.45, 0.7), 5),
+        ("hyperbolic", {"phi": 3.0}, (0.7, 0.85), 3),
+        ("variable-degree", {"n1": 4.5, "n2": 5.0}, (0.85, 1.0), 4))]
+    yield "multi-order", build_multiorder_space(secs, [1, 2, 0, 2])
+
+
+@pytest.mark.parametrize("label, space", list(stacked_build_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_stacked_rows_are_the_rows_solved_alone(label, space):
+    table = build_transition_table(space)
+    assert len(table.specs) == space.dim - 1
+    for i, spec in table.specs.items():
+        [(row, rep)], _, _ = transition._solve_rows([spec])
+        got = table.rows[i]
+        assert (got.kind, got.start, got.stop, len(got.pieces)) == \
+            (row.kind, row.start, row.stop, len(row.pieces)), i
+        for p, q in zip(got.pieces, row.pieces):
+            assert p.tobytes() == q.tobytes(), i
+        assert table.reports.get(i) == rep, i
+        if rep is not None:
+            assert rep.residual == row_residual(spec, np.concatenate(row.pieces))
+
+
+def row_residual(spec, b):
+    """|A b - c| / (|A| |b| + 1) in the inf-norm, one row and one jet per
+    section end at a time."""
+    def jet(k, end, cnt):
+        sec = spec.pieces[k]
+        return sec.jet(sec.order - 1, spec.points[k + end])[:cnt]
+
+    A, c = transition._hermite_system(spec, jet)
+    return float(np.linalg.norm(A @ b - c, np.inf)
+                 / (np.linalg.norm(A, np.inf) * np.linalg.norm(b, np.inf) + 1.0))
 
 
 def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
@@ -237,7 +328,7 @@ def test_table_assembly_logs_one_debug_record(caplog):
     ramps = sum(row.kind == "ramp" for row in table.rows.values())
     sizes = {rep.size for rep in table.reports.values()}
     # rows solved, rows copied, stacked solves (one per row size here),
-    # jets evaluated, max condition
+    # section ends evaluated, max condition
     assert fresh == [ramps, 0, len(sizes), 2 * len(table.sections),
                      float(f"{table.max_condition:.3e}")]
     assert 0 < refined[0] < ramps and refined[1] > 0
