@@ -25,8 +25,9 @@ import numpy as np
 from .basis import sample_basis
 from .errors import PartitionError
 from .sections import ECSection
-from .transition import (TransitionTable, _row_specs, build_transition_table,
-                         detect_vanishing_order, validate_connection_matrix)
+from .transition import (TransitionTable, _end_order, _row_specs,
+                         build_transition_table, detect_vanishing_order,
+                         validate_connection_matrix)
 
 __all__ = [
     "MultiOrderSpace", "build_multiorder_space", "sample_multiorder_basis",
@@ -130,7 +131,7 @@ sample_multiorder_basis = sample_basis
 
 @dataclass(frozen=True)
 class QECProfile:
-    """Detected endpoint vanishing orders of every ramp row.
+    """Endpoint vanishing orders of every ramp row.
 
     kbar_right[i] counts the derivatives of f_i vanishing at the support
     start (right-sided), kbar_left[i] those at the support end (left-sided,
@@ -141,13 +142,16 @@ class QECProfile:
     kbar_left: dict[int, int]
 
 
-def qec_profile(table: TransitionTable, threshold: float = 1e-7,
-                cap: int = 128) -> QECProfile:
+def qec_profile(table: TransitionTable) -> QECProfile:
+    """The endpoint vanishing orders of every ramp row of table.  An end in
+    an EC section takes the count its row's spec sets there; an end in a
+    quasi-EC section (variable-degree) is probed by detect_vanishing_order,
+    derivative by derivative."""
     right: dict[int, int] = {}
     left: dict[int, int] = {}
     for i, row in table.rows.items():
         if row.kind != "ramp":
             continue
-        right[i] = detect_vanishing_order(table, i, "left", threshold, cap)
-        left[i] = detect_vanishing_order(table, i, "right", threshold, cap)
+        right[i] = _end_order(table, i, "left") - 1
+        left[i] = _end_order(table, i, "right") - 1
     return QECProfile(kbar_right=right, kbar_left=left)

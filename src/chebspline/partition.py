@@ -115,13 +115,12 @@ def build_extended_partition(breakpoints, multiplicities, order: int) -> Extende
     return ExtendedPartition(m, np.asarray(knots), bp.copy(), a, b)
 
 
-def partition_from_knots(order: int, knots, grid=None,
-                         domain: tuple[float, float] | None = None) -> ExtendedPartition:
-    """Partition from an explicit (possibly unclamped) extended knot vector.
+def partition_from_knots(order: int, knots, grid=None) -> ExtendedPartition:
+    """Partition from an explicit (possibly unclamped) extended knot vector
+    over the domain [t_m, t_{m+K+1}].
 
     grid, when given, must contain every distinct knot value plus any extra
-    section boundaries (zero-multiplicity break points).  domain defaults to
-    [t_m, t_{m+K+1}] which must be consistent with the vector.
+    section boundaries (zero-multiplicity break points).
     """
     m = int(order)
     t = np.asarray(knots, dtype=float)
@@ -133,10 +132,6 @@ def partition_from_knots(order: int, knots, grid=None,
         raise PartitionError("knots must be non-decreasing")
     K = len(t) - 2 * m
     a, b = float(t[m - 1]), float(t[m + K])
-    if domain is not None:
-        if abs(domain[0] - a) > 0 or abs(domain[1] - b) > 0:
-            raise PartitionError(
-                f"domain {domain} inconsistent with knots: t_m={a}, t_(m+K+1)={b}")
     if a >= b:
         raise PartitionError("empty domain: t_m must be below t_{m+K+1}")
     distinct = np.unique(t)

@@ -20,8 +20,8 @@ from .basis import (Spline, SplineSpace, _row_values, make_spline_space,
 from .errors import KnotRemovalError, RefinementError
 from .partition import (_interval_index, build_extended_partition,
                         partition_from_knots)
-from .sections import ECSection, FAMILIES, make_section, merge_sections, split_section
-from .transition import TransitionTable, _assemble_table, detect_vanishing_order
+from .sections import ECSection, make_section, merge_sections, split_section
+from .transition import TransitionTable, _assemble_table, _end_order
 
 
 # ---------------------------------------------------------------------------
@@ -103,38 +103,29 @@ def _reuse_table(old_space: SplineSpace, new_space: SplineSpace) -> TransitionTa
                                        for i, spec in old.specs.items()})
 
 
-def _compute_alphas(old_space: SplineSpace, new_space: SplineSpace,
+def _compute_alphas(old_table: TransitionTable, new_table: TransitionTable,
                     that: float, ell: int, mult: int, formula: str) -> np.ndarray:
-    """The staircase alpha_1..alpha_{new dim} tying old and new bases."""
-    m = old_space.order
-    old_part = old_space.partition
-    old_table = old_space.table
-    new_table = new_space.table
-    new_dim = new_space.dim
-    probe = any(FAMILIES[s.family].qec for s in old_space.sections)
+    """The staircase alpha_1..alpha_{new dim} tying old and new bases.  The
+    rows of the window straddle that, so none is a step row."""
+    m = old_table.order
+    new_dim = new_table.dim
     alphas = np.zeros(new_dim)
     alphas[:max(0, min(ell - m + 1, new_dim))] = 1.0
     for i in range(ell - m + 2, ell - mult + 2):
         if not 2 <= i <= new_dim:
             continue
         if formula == "left":
-            x = old_part.knot(i)
-            if probe:
-                order = detect_vanishing_order(old_table, i, "left") + 1
-            else:
-                order = m - old_part.end_multiplicities(i)[1]
+            x = old_table.rows[i].start
+            order = _end_order(old_table, i, "left")
             num = old_table.eval(i, x, order, "right")
             den = new_table.eval(i, x, order, "right")
         else:
             # at the right support end t_{i+m-1} every left derivative of
             # fhat_i vanishes, so the left-sided ratio of first kinked
             # derivatives of f_i and fhat_{i+1} equals 1 - alpha_i
-            x = old_part.knot(i + m - 1)
-            if probe:
-                order = detect_vanishing_order(old_table, i, "right") + 1
-            else:
-                order = m - old_part.end_multiplicities(i + m - 1)[0]
-            x_new = new_space.partition.knot(i + m)
+            x = old_table.rows[i].stop
+            order = _end_order(old_table, i, "right")
+            x_new = new_table.rows[i + 1].stop
             num = old_table.eval(i, x, order, "left")
             den = new_table.eval(i + 1, x_new, order, "left")
         if den == 0.0 or not np.isfinite(num / den):
@@ -159,16 +150,14 @@ def _apply_alphas(alphas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _insert(space: SplineSpace, spline: Spline | None, that: float,
-            strategy: str, formula: str) -> tuple[RefinementStep, Spline | None]:
+def _insert(space: SplineSpace, spline: Spline, that: float,
+            strategy: str, formula: str) -> tuple[RefinementStep, Spline]:
     new_space, ell, mult = refine_space_structure(space, that, strategy)
     new_space._table = _reuse_table(space, new_space)
-    alphas = _compute_alphas(space, new_space, that, ell, mult, formula)
+    alphas = _compute_alphas(space.table, new_space.table, that, ell, mult,
+                             formula)
     step = RefinementStep(that, ell, mult, alphas, new_space, formula, strategy)
-    if spline is None:
-        return step, None
-    refined = Spline(new_space, _apply_alphas(alphas, spline.coefficients))
-    return step, refined
+    return step, Spline(new_space, _apply_alphas(alphas, spline.coefficients))
 
 
 def insert_knot(space: SplineSpace, spline: Spline, that: float,
@@ -467,7 +456,8 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float,
     coarse_space = SplineSpace(coarse_part, sections, conn)
     coarse_space._table = _reuse_table(space, coarse_space)
     ell = int(np.searchsorted(coarse_part.knots, that, side="right"))
-    alphas = _compute_alphas(coarse_space, space, that, ell, mult, "left")
+    alphas = _compute_alphas(coarse_space.table, space.table, that, ell, mult,
+                             "left")
     B = _apply_alphas(alphas, np.eye(coarse_space.dim))
     chat = spline.coefficients
     c, *_ = np.linalg.lstsq(B, chat, rcond=None)

@@ -26,20 +26,21 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 # generator blocks (local coordinate t)
 # ---------------------------------------------------------------------------
-# A block holds one or more generators that share work.  jet(R, t, lo,
-# pointwise) gives one column [D^lo u(t), .., D^R u(t)] per generator,
-# antideriv(t) one antiderivative per generator, at a float array t (0-d
-# for one point).  A parameter is a number, or one value per section in an
-# (S, 1) array that broadcasts against a t of shape (S, 2) (both ends of S
-# sections); its powers are Python float powers either way (_pow).
-# Products, sums and elementary functions of t[()], the value of a 0-d t,
-# round exactly as on the 0-d array, as on a t of any shape, and cost a
-# fraction of it.  Powers do not: numpy's array power loop and the pow of
-# one float64 differ in the last bit for a few per cent of bases, so powers
-# of t take the array t and keep a Python int or float exponent (so that
-# t**2 is numpy's square, as at one point).  pointwise says that every
-# element of t is a point on its own, as a 0-d t is; only Powers rounds
-# differently then.
+# A block holds one or more generators that share work.  jet(R, t, lo) gives
+# one column [D^lo u(t), .., D^R u(t)] per generator, antideriv(t) one
+# antiderivative per generator, at a float array t (0-d for one point).  A
+# parameter is a number, or one value per section in an (S, 1) array that
+# broadcasts against a t of shape (S, 2) (both ends of S sections); its
+# powers are Python float powers either way (_pow).  Every element of t is
+# a point on its own: its values do not depend on the shape of t, so
+# batched and single-point evaluation agree bit for bit.  Products, sums
+# and elementary functions of t[()], the value of a 0-d t, round exactly as
+# on a t of any shape, and cost a fraction of it.  Powers do not: numpy's
+# array power loop and the pow of one float64 differ in the last bit for a
+# few per cent of bases.  Powers of t take the array t and keep a Python
+# int or float exponent (so that t**2 is numpy's square, as at one point);
+# the mirror power (1-t)**e, which is one float64 at one point, is one
+# float64 pow per point everywhere (_scalar_pow).
 
 
 def _pow(p, r: int):
@@ -62,7 +63,7 @@ class Monomials:
     def __init__(self, count: int):
         self.count = count
 
-    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
+    def jet(self, R: int, t, lo: int = 0) -> list:
         zero = np.zeros_like(t) if R else None
         cols = []
         for k in range(self.count):
@@ -82,7 +83,7 @@ class Trigs:
     def __init__(self, theta: float):
         self.theta = theta
 
-    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
+    def jet(self, R: int, t, lo: int = 0) -> list:
         th = self.theta
         u = th * t[()]
         cols = []
@@ -106,7 +107,7 @@ class TTrigs:
     def __init__(self, theta: float):
         self.theta = theta
 
-    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
+    def jet(self, R: int, t, lo: int = 0) -> list:
         # D^r u = t th^r cos(a + r pi/2) + r th^(r-1) cos(a + (r-1) pi/2)
         th, t = self.theta, t[()]
         u = th * t
@@ -137,7 +138,7 @@ class Hyps:
     def __init__(self, phi: float):
         self.phi = phi
 
-    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
+    def jet(self, R: int, t, lo: int = 0) -> list:
         # even orders repeat the function itself, odd orders its partner
         phi = self.phi
         u = phi * t[()]
@@ -168,20 +169,17 @@ class Powers:
         self.exps = tuple((n if isinstance(n, np.ndarray) else float(n), mirror)
                           for n, mirror in ((n1, True), (n2, False)))
 
-    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
+    def jet(self, R: int, t, lo: int = 0) -> list:
         cols = []
         with np.errstate(divide="ignore"):
             for n, mirror in self.exps:
-                # 1 - t of a 0-d t is one float64, whose pow the mirror
-                # power keeps wherever points are evaluated on their own
                 base = (1.0 - t) if mirror else t
-                power = _scalar_pow if mirror and pointwise else pow
                 if isinstance(n, np.ndarray):
-                    per_row = [_power_column(v, mirror, base[s], power, lo, R)
+                    per_row = [_power_column(v, mirror, base[s], lo, R)
                                for s, v in enumerate(n.ravel().tolist())]
                     cols.append([np.array(col) for col in zip(*per_row)])
                 else:
-                    cols.append(_power_column(n, mirror, base, power, lo, R))
+                    cols.append(_power_column(n, mirror, base, lo, R))
         return cols
 
     def antideriv(self, t) -> list:
@@ -189,8 +187,9 @@ class Powers:
         return [-((1.0 - t) ** (n1 + 1)) / (n1 + 1), t ** (n2 + 1) / (n2 + 1)]
 
 
-def _power_column(n: float, mirror: bool, base, power, lo: int, R: int) -> list:
+def _power_column(n: float, mirror: bool, base, lo: int, R: int) -> list:
     """D^lo .. D^R of base**n, with base = 1 - t for the mirror power."""
+    power = _scalar_pow if mirror else pow
     c = 1.0                           # n (n-1) .. (n-r+1)
     for r in range(lo):
         c *= n - r
@@ -233,7 +232,7 @@ class RationalCubics:
             return np.full_like(t, -2.0 * k)
         return np.zeros_like(t)
 
-    def jet(self, R: int, t, lo: int = 0, pointwise: bool = False) -> list:
+    def jet(self, R: int, t, lo: int = 0) -> list:
         # the recurrence needs every lower order
         t = t[()]
         dq = []
@@ -288,11 +287,11 @@ class RationalCubics:
 @dataclass(frozen=True)
 class Family:
     name: str
-    default_map: str                      # "shift" | "normalized"
     validate: Callable                    # (params, order, local length)
     build: Callable                       # (params, order) -> generator blocks
-    forced_map: str | None = None         # map convention that must be used
-    affine_invariant: bool = True         # span closed under affine t-substitution
+    # span closed under affine t-substitution: such a family defaults to the
+    # shift map, any other is held to the normalized map
+    affine_invariant: bool = True
     # the parameters build reads, all frequencies in an affine-invariant
     # family; the blocks also take each as one value per section, an (S, 1)
     # array, so that end_jets evaluates sections of one family and order
@@ -407,27 +406,23 @@ def _build_vardeg(params, order):
 
 
 FAMILIES: dict[str, Family] = {
-    "polynomial": Family("polynomial", "shift", _validate_polynomial,
-                         _build_polynomial),
-    "trigonometric": Family("trigonometric", "shift", _validate_trig,
-                            _build_trig, param_names=("theta",)),
-    "hyperbolic": Family("hyperbolic", "shift", _validate_hyp, _build_hyp,
+    "polynomial": Family("polynomial", _validate_polynomial, _build_polynomial),
+    "trigonometric": Family("trigonometric", _validate_trig, _build_trig,
+                            param_names=("theta",)),
+    "hyperbolic": Family("hyperbolic", _validate_hyp, _build_hyp,
                          param_names=("phi",)),
-    "mixed": Family("mixed", "shift", _validate_mixed, _build_mixed,
+    "mixed": Family("mixed", _validate_mixed, _build_mixed,
                     param_names=("theta", "phi")),
-    "trig-envelope": Family("trig-envelope", "shift", _validate_envelope,
+    "trig-envelope": Family("trig-envelope", _validate_envelope,
                             _build_envelope, param_names=("theta",)),
-    "rational-tension": Family("rational-tension", "normalized",
-                               _validate_rational, _build_rational,
-                               forced_map="normalized", affine_invariant=False,
+    "rational-tension": Family("rational-tension", _validate_rational,
+                               _build_rational, affine_invariant=False,
                                param_names=("nu",)),
-    "multi-frequency-trig": Family("multi-frequency-trig", "shift",
-                                   _validate_multifreq, _build_multifreq,
-                                   param_names=("theta",)),
-    "variable-degree": Family("variable-degree", "normalized", _validate_vardeg,
-                              _build_vardeg, forced_map="normalized",
-                              affine_invariant=False, param_names=("n1", "n2"),
-                              qec=True),
+    "multi-frequency-trig": Family("multi-frequency-trig", _validate_multifreq,
+                                   _build_multifreq, param_names=("theta",)),
+    "variable-degree": Family("variable-degree", _validate_vardeg,
+                              _build_vardeg, affine_invariant=False,
+                              param_names=("n1", "n2"), qec=True),
 }
 
 
@@ -468,7 +463,7 @@ class ECSection:
 
     def _rows(self, lo: int, R: int, x) -> np.ndarray:
         t = np.asarray(self.to_local(x))   # a 0-d array at one point
-        return _jet_rows(self._blocks, self.scale, lo, R, t, t.ndim == 0)
+        return _jet_rows(self._blocks, self.scale, lo, R, t)
 
     def integral_all(self, x) -> np.ndarray:
         """Integrals of all generators from the section's left endpoint to x."""
@@ -494,13 +489,13 @@ class ECSection:
                          self.order, self.local_map, self.anchor, self.scale)
 
 
-def _jet_rows(blocks, scale, lo: int, R: int, t, pointwise: bool) -> np.ndarray:
+def _jet_rows(blocks, scale, lo: int, R: int, t) -> np.ndarray:
     """Rows D^lo .. D^R of the generators of blocks at the local
     coordinates t, in x-units: shape (R-lo+1, m) + t.shape.  The orders
     below lo are skipped where no recurrence needs them."""
     cols = []
     for block in blocks:
-        cols += block.jet(R, t, lo, pointwise)
+        cols += block.jet(R, t, lo)
     J = np.array(cols, dtype=float).swapaxes(0, 1)
     if R:                           # D^r picks up scale**r; rows contiguous
         J = np.ascontiguousarray(J)
@@ -534,7 +529,7 @@ def end_jets(sections: Sequence[ECSection], ends) -> list[np.ndarray]:
                   for k in fam.param_names}
         scale = column([sec.scale for sec in secs])
         t = (ends[idx] - column([sec.anchor for sec in secs])) * scale
-        J = _jet_rows(fam.build(params, order), scale, 0, order - 1, t, True)
+        J = _jet_rows(fam.build(params, order), scale, 0, order - 1, t)
         for s, J_s in zip(idx, np.ascontiguousarray(J.transpose(2, 3, 0, 1))):
             out[s] = J_s
     return out
@@ -568,10 +563,10 @@ def make_section(family: str, params: dict | None, interval: Sequence[float],
         raise InvalidSectionError(f"order must be a positive integer, got {order!r}")
     order = int(order)
     if local_map is None:
-        local_map = fam.default_map
-    if fam.forced_map is not None and local_map != fam.forced_map:
+        local_map = "shift" if fam.affine_invariant else "normalized"
+    elif not fam.affine_invariant and local_map != "normalized":
         raise InvalidSectionError(
-            f"{family} sections require the {fam.forced_map!r} local map")
+            f"{family} sections require the 'normalized' local map")
     if anchor is None and scale is None:
         anchor, scale = _map_for(local_map, (x0, x1))
     elif anchor is None or scale is None:

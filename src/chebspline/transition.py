@@ -20,10 +20,15 @@ import numpy as np
 
 from .errors import ConnectionMatrixError, PartitionError, SingularSystemError
 from .partition import _interval_index
-from .sections import ECSection, end_jets
+from .sections import FAMILIES, ECSection, end_jets
 
 # largest relative residual a solved transition row may keep
 RESIDUAL_TOL = 1e-8
+
+# detect_vanishing_order: a derivative vanishes below this share of its
+# scale, and the probe gives up past this order
+VANISHING_THRESHOLD = 1e-7
+VANISHING_CAP = 128
 
 # rows per stacked solve: enough to spread LAPACK's cost per call, few
 # enough that the stacked temporaries stay small next to the table
@@ -88,13 +93,8 @@ def _hermite_system(spec: RowSpec, jet) -> tuple[np.ndarray, np.ndarray]:
         cnt = spec.interior[j]
         M = spec.connections[j]
         left_block = jet(j, 1, cnt)
-        if M is not None:
-            M = np.asarray(M, dtype=float)
-            if M.shape[0] < cnt:
-                raise ConnectionMatrixError(
-                    f"connection matrix at x={spec.points[j + 1]} has order "
-                    f"{M.shape[0]}, need at least {cnt}")
-            left_block = M[:cnt, :cnt] @ left_block
+        if M is not None:           # cnt x cnt, checked with the space
+            left_block = M @ left_block
         A[r0:r0 + cnt, offs[j]:offs[j + 1]] = left_block
         A[r0:r0 + cnt, offs[j + 1]:offs[j + 2]] = -jet(j + 1, 0, cnt)
         r0 += cnt
@@ -249,11 +249,6 @@ class TransitionTable:
     def max_residual(self) -> float:
         return max((r.residual for r in self.reports.values()), default=0.0)
 
-    def support(self, i: int) -> tuple[float, float]:
-        """Support [t_i, t_{i+m-1}] of transition function i."""
-        row = self.rows[i]
-        return row.start, row.stop
-
     def _block(self, j: int) -> tuple[int, np.ndarray]:
         """(lo, P_j) for grid interval j: f_lo, f_lo+1, .. are the rows alive
         on the interval, with their coefficients stacked in P_j; the rows
@@ -393,8 +388,8 @@ def build_transition_table(space) -> TransitionTable:
     return _assemble_table(space, {})
 
 
-def detect_vanishing_order(table: TransitionTable, i: int, side: str = "left",
-                           threshold: float = 1e-7, cap: int = 128) -> int:
+def detect_vanishing_order(table: TransitionTable, i: int,
+                           side: str = "left") -> int:
     """Number of derivatives of f_i that vanish at a support endpoint.
 
     side="left": largest k with D_+^r f_i(t_i) = 0 for r = 0..k;
@@ -412,15 +407,29 @@ def detect_vanishing_order(table: TransitionTable, i: int, side: str = "left",
     x = row.start if side == "left" else row.stop
     sec, coeff = table.specs[i].pieces[end], row.pieces[end]
     cscale = np.abs(coeff).max()
-    for r in range(1, cap + 1):
+    for r in range(1, VANISHING_CAP + 1):
         vals = sec.eval_all(r, x)
         if not np.all(np.isfinite(vals)):
             break
         scale = cscale * np.abs(vals).max()
         if scale == 0.0:
             continue
-        if abs(float(coeff @ vals)) > threshold * max(1.0, scale):
+        if abs(float(coeff @ vals)) > VANISHING_THRESHOLD * max(1.0, scale):
             return r - 1
     raise SingularSystemError(
-        f"no nonvanishing endpoint derivative of f_{i} found up to order {cap}",
+        f"no nonvanishing endpoint derivative of f_{i} found up to order "
+        f"{VANISHING_CAP}",
         index=i)
+
+
+def _end_order(table: TransitionTable, i: int, side: str) -> int:
+    """Order of the first derivative of ramp row f_i that does not vanish at
+    its support start (side="left") or end (side="right").  An EC section
+    there gives the count of conditions the row's spec sets at that end; a
+    quasi-EC one (variable-degree) can vanish to a higher order, which is
+    probed."""
+    spec = table.specs[i]
+    sec = spec.pieces[0 if side == "left" else -1]
+    if FAMILIES[sec.family].qec:
+        return detect_vanishing_order(table, i, side) + 1
+    return spec.left if side == "left" else spec.right

@@ -67,18 +67,14 @@ def test_batched_samplers_match_per_function_eval(space):
 @pytest.mark.parametrize("r", [0, 1, 2])
 @pytest.mark.parametrize("space", CASES)
 def test_batched_derivatives_are_the_scalar_ones(space, r):
-    # unit coefficients make sample_spline the matrix of D^r N_i; only the
-    # powers of variable-degree sections round differently on arrays
+    # unit coefficients make sample_spline the matrix of D^r N_i
     xs = samples(space)
     got = sample_spline(Spline(space, np.eye(space.dim)), xs, r)
     want = np.zeros_like(got)
     for k, x in enumerate(xs):
         lo, vals = eval_nonzero_basis(space, x, r, side(space, x))
         want[k, lo - 1:lo - 1 + len(vals)] = vals
-    if any(sec.family == "variable-degree" for sec in space.table.sections):
-        assert within_condition(got, want, space)
-    else:
-        assert_array_equal(got, want)
+    assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])

@@ -199,6 +199,22 @@ def test_remove_reports_failure():
         remove_knot(space, spline, 1.0, tolerance=1e-9)
 
 
+def test_remove_knot_refusals():
+    space = polynomial_space([0.0, 1.0, 2.0, 3.0], [1, 0], 4)
+    spline = random_spline(space, np.random.default_rng(14))
+    for that in (0.0, 0.5, 3.0):
+        with pytest.raises(RefinementError, match="not an interior break point"):
+            remove_knot(space, spline, that)
+    with pytest.raises(RefinementError, match="carries no knot"):
+        remove_knot(space, spline, 2.0)
+    part = build_extended_partition([0.0, 1.0, 2.0], [2], 4)
+    secs = [make_section("polynomial", None, (part.grid[j], part.grid[j + 1]), 4)
+            for j in range(part.num_sections)]
+    gc = make_spline_space(part, secs, [(1.0, [[1.0, 0.0], [0.0, 2.0]])])
+    with pytest.raises(RefinementError, match="connection matrix"):
+        remove_knot(gc, random_spline(gc, np.random.default_rng(15)), 1.0)
+
+
 def test_periodic_matches_scipy():
     from scipy.interpolate import BSpline
     knots = np.arange(-3.0, 8.0)                # uniform period-4 wrap

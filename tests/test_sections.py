@@ -206,10 +206,14 @@ def _order_r(gen, r, t):
         c = 1.0
         for j in range(r):
             c *= n - j
-        base = (1.0 - t) if mirror else t
         sign = (-1.0) ** r if mirror else 1.0
         with np.errstate(divide="ignore"):
-            return sign * c * base ** (n - r)
+            if not mirror:
+                return sign * c * t ** (n - r)
+            # (1-t)**e by the pow of one float64, point by point
+            base = np.atleast_1d(1.0 - t)
+            power = np.array([b ** (n - r) for b in base]).reshape(t.shape)
+            return sign * c * power
     assert kind == "rat"
     nu, mirror = gen[1:]
     k = nu - 3.0
@@ -290,11 +294,11 @@ def random_params(rng, family, m, local):
 def random_sections(rng, family, count):
     """count valid sections of one family on random intervals of length
     1e-3 to 2, under both local maps where the family allows both."""
-    forced = FAMILIES[family].forced_map
+    free = FAMILIES[family].affine_invariant
     out = []
     for _ in range(count):
         x0, h = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.3)
-        lmap = forced or ("shift", "normalized")[rng.integers(2)]
+        lmap = ("shift", "normalized")[rng.integers(2)] if free else "normalized"
         m = int(rng.integers(*ORDERS.get(family, (3, 7))))
         params = random_params(rng, family, m, h if lmap == "shift" else 1.0)
         out.append(make_section(family, params, (x0, x0 + h), m, lmap))
@@ -326,6 +330,33 @@ def test_random_sections_are_the_one_order_formulas(family):
             want = np.array([sec.scale ** r * _order_r(g, r, t) for g in gens],
                             dtype=float)
             assert sec.eval_all(r, xs).tobytes() == want.tobytes(), r
+
+
+def test_batched_variable_degree_values_are_the_one_point_ones():
+    # whole and fractional exponents: values at many points at once equal
+    # the values at each point on its own, bit for bit
+    rng = np.random.default_rng(22)
+    secs = random_sections(rng, "variable-degree", 200)
+    assert any(not float(sec.params["n1"]).is_integer() for sec in secs)
+    assert any(float(sec.params["n1"]).is_integer() for sec in secs)
+    for sec in secs:
+        x0, x1 = sec.interval
+        xs = np.concatenate([[x0], rng.uniform(x0, x1, 30), [x1]])
+        for r in range(sec.order):
+            want = np.array([sec.eval_all(r, x) for x in xs]).T
+            assert sec.eval_all(r, xs).tobytes() == want.tobytes(), (sec, r)
+
+
+def test_plain_cubic_antiderivative_of_rational_tension():
+    # nu = 3 leaves q = 1: the generators are (1-t)**3 and t**3
+    x0, x1 = 0.2, 1.1
+    sec = make_section("rational-tension", {"nu": 3.0}, (x0, x1), 4)
+    xs = np.linspace(x0, x1, 7)
+    t, h = (xs - x0) / (x1 - x0), x1 - x0
+    assert_allclose(antiderivative_generator(sec, 3, xs),
+                    h * (1.0 - (1.0 - t) ** 4) / 4.0, rtol=1e-14, atol=1e-16)
+    assert_allclose(antiderivative_generator(sec, 4, xs), h * t ** 4 / 4.0,
+                    rtol=1e-14, atol=1e-16)
 
 
 def test_degenerate_variable_degree_rejected():

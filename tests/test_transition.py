@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -153,10 +154,10 @@ def count_jets(monkeypatch):
                      for x in pair)
         return end_jets(secs, ends)
 
-    def counted_jet_rows(blocks, scale, lo, R, t, pointwise):
+    def counted_jet_rows(blocks, scale, lo, R, t):
         if np.ndim(t) == 2:                  # both ends of several sections
             passes.append(t.shape[0])
-        return jet_rows(blocks, scale, lo, R, t, pointwise)
+        return jet_rows(blocks, scale, lo, R, t)
 
     def counted_solve(specs):
         solved.extend(specs)
@@ -311,6 +312,54 @@ def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
     assert str(stacked.value) == str(alone)
     assert (stacked.value.condition, stacked.value.residual) == \
         (alone.condition, alone.residual)
+
+
+def test_assembly_error_is_raised_after_the_earlier_rows(monkeypatch):
+    # a row whose system cannot be assembled raises where it stands in spec
+    # order: ahead of a singular row after it (a singular row before it
+    # raises first, as above)
+    space = trig_space(10)
+    bad, later = 5, 8
+    system = transition._hermite_system
+
+    def broken(spec, jet):
+        if spec.index == bad:
+            raise ConnectionMatrixError("row 5 fails while assembling")
+        A, c = system(spec, jet)
+        if spec.index == later:
+            A[:, 0] = 0.0
+        return A, c
+
+    monkeypatch.setattr(transition, "_hermite_system", broken)
+    with pytest.raises(ConnectionMatrixError, match="row 5"):
+        build_transition_table(space)
+
+
+def test_non_square_system_raises():
+    space = trig_space(6)
+    _, specs = space._row_specs()
+    spec = specs[4]
+    bad = dataclasses.replace(spec, left=spec.left + 1)
+    with pytest.raises(SingularSystemError, match="not square") as err:
+        transition._solve_rows([bad])
+    assert err.value.index == 4
+
+
+def test_residual_gate_rejects_a_perturbed_solve(monkeypatch):
+    # no known space reaches the gate: a space ill conditioned enough fails
+    # as singular first, so the solve itself is perturbed here
+    space = trig_space(6)
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        return solve(a, b) * (1.0 + 1e-4)
+
+    monkeypatch.setattr(transition.np.linalg, "solve", perturbed)
+    with pytest.raises(SingularSystemError, match="relative residual") as err:
+        build_transition_table(space)
+    first = min(i for i, spec in space._row_specs()[1].items() if spec.pieces)
+    assert err.value.index == first
+    assert err.value.residual > transition.RESIDUAL_TOL
 
 
 def test_table_assembly_logs_one_debug_record(caplog):
