@@ -12,8 +12,9 @@ Connection matrices (geometric continuity) twist the interior continuity
 conditions of a transition row: the left derivative vector is premultiplied
 by a lower triangular M with unit first row/column before being matched to
 the right side.  They need no code of their own: make_spline_space attaches
-them to break points, _hermite_system applies them, insert_knot carries them
-through refinement and validate_connection_matrix checks them.
+them to break points, the row solver (transition._solve_rows) applies them,
+insert_knot carries them through refinement and validate_connection_matrix
+checks them.
 """
 
 from __future__ import annotations

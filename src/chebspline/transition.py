@@ -14,7 +14,8 @@ import logging
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, count, pairwise
 
 import numpy as np
 
@@ -33,6 +34,10 @@ VANISHING_CAP = 128
 # rows per stacked solve: enough to spread LAPACK's cost per call, few
 # enough that the stacked temporaries stay small next to the table
 _STACK_ROWS = 64
+
+# row shapes whose system layout is kept: a few hundred shapes cover the
+# tables of many spaces, at a few kB each
+_LAYOUTS = 1024
 
 _log = logging.getLogger("chebspline")
 
@@ -71,37 +76,94 @@ class RowReport:
     residual: float
 
 
-def _hermite_system(spec: RowSpec, jet) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and right-hand side of spec's Hermite system.  jet(k, end, cnt)
-    gives the derivative rows D^0 .. D^(cnt-1) of piece k at its left
-    (end 0) or right (end 1) point."""
-    pieces, index = spec.pieces, spec.index
-    P = len(pieces)
-    orders = [s.order for s in pieces]
+def _hermite_system(shape: tuple, jet) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of the square Hermite system of a row of
+    shape (left, interior, right, *orders), every connection the identity.
+    jet(k, end, cnt) gives the derivative rows D^0 .. D^(cnt-1) of piece k
+    at its left (end 0) or right (end 1) point."""
+    left, interior, right, *orders = shape
+    P = len(orders)
     n = sum(orders)
-    rows = spec.left + sum(spec.interior) + spec.right
-    if rows != n:
-        raise SingularSystemError(
-            f"transition system for f_{index} is not square: "
-            f"{rows} conditions for {n} unknowns", index=index)
     offs = [0, *accumulate(orders)]
     A = np.zeros((n, n))
     c = np.zeros(n)
-    r0 = spec.left
+    r0 = left
     A[:r0, offs[0]:offs[1]] = jet(0, 0, r0)
     for j in range(P - 1):
-        cnt = spec.interior[j]
-        M = spec.connections[j]
-        left_block = jet(j, 1, cnt)
-        if M is not None:           # cnt x cnt, checked with the space
-            left_block = M @ left_block
-        A[r0:r0 + cnt, offs[j]:offs[j + 1]] = left_block
+        cnt = interior[j]
+        A[r0:r0 + cnt, offs[j]:offs[j + 1]] = jet(j, 1, cnt)
         A[r0:r0 + cnt, offs[j + 1]:offs[j + 2]] = -jet(j + 1, 0, cnt)
         r0 += cnt
-    A[r0:, offs[P - 1]:] = jet(P - 1, 1, spec.right)
-    if spec.right:
+    A[r0:, offs[P - 1]:] = jet(P - 1, 1, right)
+    if right:
         c[r0] = 1.0
     return A, c
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(shape: tuple) -> tuple:
+    """_hermite_system of a square shape run on where a row's end jets sit,
+    each entry followed by its negation: the size n, the flat positions of
+    A's nonzero entries, where each is read from, where c's 1 is (if
+    anywhere) and the piece slices.  Every table build shares them."""
+    orders = shape[3:]
+    at = [0, *accumulate(2 * m * m for m in orders)]
+
+    def jet(k, end, cnt):        # 1 + twice the position of each entry
+        m = orders[k]
+        return 2.0 * (at[k] + end * m * m + np.arange(cnt * m).reshape(cnt, m)) + 1
+
+    A, c = _hermite_system(shape, jet)
+    nz = np.flatnonzero(A)
+    src = np.abs(A.flat[nz]).astype(np.intp) - (A.flat[nz] > 0)
+    one = np.flatnonzero(c)
+    for index in (nz, src, one):
+        index.flags.writeable = False
+    return (len(c), nz, src, one,
+            tuple(slice(*o) for o in pairwise(accumulate(orders, initial=0))))
+
+
+def _connect(A: np.ndarray, spec: RowSpec, jets: dict) -> None:
+    """Write M @ jet over the left block of each inner point of spec's
+    system A that has a connection matrix M (cnt x cnt, checked with the space)."""
+    r0, c0 = spec.left, 0
+    for j, (cnt, M) in enumerate(zip(spec.interior, spec.connections)):
+        m = spec.pieces[j].order
+        if M is not None:
+            A[r0:r0 + cnt, c0:c0 + m] = M @ jets[spec.first_piece + j][1][:cnt]
+        r0, c0 = r0 + cnt, c0 + m
+
+
+def _equilibrated_solve(A: np.ndarray, C: np.ndarray) -> tuple:
+    """Equilibrate, solve and check a C-contiguous stack of systems of one
+    size: per system the condition, the error if LAPACK rejects it (then the
+    stack is solved row by row), the solution and the relative residual."""
+    row_s = np.abs(A).max(axis=2)
+    row_s[row_s == 0] = 1.0
+    A_eq = A / row_s[:, :, None]
+    col_s = np.abs(A_eq).max(axis=1)
+    col_s[col_s == 0] = 1.0
+    A_eq = A_eq / col_s[:, None, :]
+    c_eq = C / row_s
+    cond = np.linalg.cond(A_eq, 1).tolist()
+    errors: dict[int, Exception] = {}
+    try:
+        Y = np.linalg.solve(A_eq, c_eq[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        Y = np.zeros_like(c_eq)
+        for k, (a, c) in enumerate(zip(A_eq, c_eq)):
+            try:
+                Y[k] = np.linalg.solve(a, c)
+            except np.linalg.LinAlgError as exc:
+                errors[k] = exc
+    B = Y / col_s
+    # the relative residual |A b - c| / (|A| |b| + 1) in the inf-norm,
+    # row by row: the stacked product rounds as A @ b does
+    res = (A @ B[:, :, None])[:, :, 0] - C
+    rel = (np.abs(res).max(axis=1)
+           / (np.abs(A).sum(axis=2).max(axis=1) * np.abs(B).max(axis=1)
+              + 1.0)).tolist()
+    return cond, errors, B, rel
 
 
 def _solve_rows(specs: Sequence[RowSpec]
@@ -111,85 +173,73 @@ def _solve_rows(specs: Sequence[RowSpec]
 
     The specs share one grid, so the conditions at a section end come from
     one jet.  Both ends of every section a row crosses are evaluated up
-    front, in one end_jets call.  The rows are solved _STACK_ROWS at a time,
-    in spec order, and the first failing row raises, as it would alone.
+    front, in one end_jets call, and laid end to end in grid order.  Rows
+    of one shape share one _layout, and the rows of one size are stacked
+    _STACK_ROWS at a time: each stack is filled with one gather per shape
+    in it, then equilibrated, solved and checked at once.  Errors are
+    raised in spec order, the first failing row's as it would be alone.
     """
-    ends = {spec.first_piece + k: (sec, spec.points[k:k + 2])
-            for spec in specs for k, sec in enumerate(spec.pieces)}
+    ends = dict(sorted({spec.first_piece + k: (sec, spec.points[k:k + 2])
+                        for spec in specs for k, sec in enumerate(spec.pieces)}
+                       .items()))
     jets = dict(zip(ends, end_jets([sec for sec, _ in ends.values()],
                                    [x for _, x in ends.values()])))
+    start = dict(zip(jets, accumulate((J.size for J in jets.values()),
+                                      initial=0)))
+    flat = np.concatenate([J.ravel() for J in jets.values()] or [[]])
+    signed = np.column_stack((flat, -flat)).ravel()
+    base = np.array([2 * start.get(spec.first_piece, 0) for spec in specs])
 
-    def jet_of(spec):
-        def jet(k, end, cnt):
-            if not cnt:
-                return np.zeros((0, spec.pieces[k].order))
-            return jets[spec.first_piece + k][end][:cnt]
-        return jet
-
-    out, stacks = [], 0
-    for lo in range(0, len(specs), _STACK_ROWS):
-        rows, n = _solve_stacked(specs[lo:lo + _STACK_ROWS], jet_of)
-        out += rows
-        stacks += n
-    return out, stacks, 2 * len(jets)
-
-
-def _solve_stacked(specs: Sequence[RowSpec], jet_of
-                   ) -> tuple[list[tuple[TransitionRow, RowReport | None]], int]:
-    """(row, report) per spec, and the number of stacks.  Systems of equal
-    size are equilibrated, solved and checked as one stack; a stack LAPACK
-    rejects is solved row by row."""
-    systems: list = []            # (A, c) per ramp row, None per step row
-    groups: dict[int, list[int]] = {}         # size -> rows, in spec order
+    groups: dict[tuple, tuple] = {}   # shape -> layout, rows in spec order
+    by_size: dict[int, list] = {}     # size -> its shapes' groups
+    results: dict[int, tuple | Exception] = {}
     for g, spec in enumerate(specs):
-        try:
-            sys_ = _hermite_system(spec, jet_of(spec)) if spec.pieces else None
-        except Exception as exc:  # raised below, once earlier rows are solved
-            sys_ = exc
-        systems.append(sys_)
-        if isinstance(sys_, tuple):
-            groups.setdefault(len(sys_[1]), []).append(g)
-    solved: dict[int, tuple] = {}    # g -> (cond, solve error, b, residual)
-    for idx in groups.values():
-        A = np.stack([systems[g][0] for g in idx])
-        C = np.stack([systems[g][1] for g in idx])
-        row_s = np.abs(A).max(axis=2)
-        row_s[row_s == 0] = 1.0
-        A_eq = A / row_s[:, :, None]
-        col_s = np.abs(A_eq).max(axis=1)
-        col_s[col_s == 0] = 1.0
-        A_eq = A_eq / col_s[:, None, :]
-        c_eq = C / row_s
-        cond = np.linalg.cond(A_eq, 1).tolist()
-        errors: dict[int, Exception] = {}
-        try:
-            Y = np.linalg.solve(A_eq, c_eq[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            Y = np.zeros_like(c_eq)
-            for k, (a, c) in enumerate(zip(A_eq, c_eq)):
-                try:
-                    Y[k] = np.linalg.solve(a, c)
-                except np.linalg.LinAlgError as exc:
-                    errors[k] = exc
-        B = Y / col_s
-        # the relative residual |A b - c| / (|A| |b| + 1) in the inf-norm,
-        # row by row: the stacked product rounds as A @ b does
-        res = (A @ B[:, :, None])[:, :, 0] - C
-        rel = (np.abs(res).max(axis=1)
-               / (np.abs(A).sum(axis=2).max(axis=1) * np.abs(B).max(axis=1)
-                  + 1.0)).tolist()
-        for k, g in enumerate(idx):
-            solved[g] = (cond[k], errors.get(k), B[k], rel[k])
+        if not spec.pieces:
+            continue
+        shape = (spec.left, spec.interior, spec.right,
+                 *[s.order for s in spec.pieces])
+        if shape not in groups:
+            rows, n = spec.left + sum(spec.interior) + spec.right, sum(shape[3:])
+            if rows != n:    # raised below, once earlier rows are solved
+                results[g] = SingularSystemError(
+                    f"transition system for f_{spec.index} is not square: "
+                    f"{rows} conditions for {n} unknowns", index=spec.index)
+                continue
+            groups[shape] = (_layout(shape), [])
+            by_size.setdefault(groups[shape][0][0], []).append(groups[shape])
+        groups[shape][1].append(g)
+
+    stacks = 0
+    for n, group in by_size.items():
+        firsts = [*accumulate((len(gs) for _, gs in group), initial=0)]
+        for lo in range(0, firsts[-1], _STACK_ROWS):
+            k = min(_STACK_ROWS, firsts[-1] - lo)
+            stack = [(lay, gs[max(lo - f, 0):lo + k - f], max(f - lo, 0))
+                     for (lay, gs), f in zip(group, firsts)
+                     if f < lo + k and f + len(gs) > lo]
+            stacks += 1
+            A = np.zeros((k, n * n))
+            C = np.zeros((k, n))
+            for (_, nz, src, one, _), gs, t0 in stack:
+                A[t0:t0 + len(gs), nz] = signed[base[gs][:, None] + src]
+                C[t0:t0 + len(gs), one] = 1.0
+                for t, g in enumerate(gs, t0):
+                    if any(M is not None for M in specs[g].connections):
+                        _connect(A[t].reshape(n, n), specs[g], jets)
+            cond, errors, B, rel = _equilibrated_solve(A.reshape(k, n, n), C)
+            for (*_, pieces), gs, t0 in stack:
+                coeffs = zip(*[list(B[t0:t0 + len(gs), p].copy()) for p in pieces])
+                for t, g, cs in zip(count(t0), gs, coeffs):
+                    results[g] = (n, cond[t], errors.get(t), cs, rel[t])
 
     out = []
     for g, spec in enumerate(specs):
-        sys_ = systems[g]
-        if sys_ is None:
+        if not spec.pieces:
             out.append((TransitionRow("step", spec.start, spec.stop, ()), None))
             continue
-        if isinstance(sys_, Exception):
-            raise sys_
-        cond, error, b, rel = solved[g]
+        if isinstance(results[g], Exception):
+            raise results[g]
+        n, cond, error, coeffs, rel = results[g]
         index = spec.index
         if error is not None:
             raise SingularSystemError(
@@ -203,12 +253,9 @@ def _solve_stacked(specs: Sequence[RowSpec], jet_of
                 f"{rel:.3e} > {RESIDUAL_TOL:.1e} (condition {cond:.3e}); the "
                 f"space is too ill conditioned for a usable B-spline basis",
                 index=index, condition=cond, residual=rel)
-        offs = [0, *accumulate(s.order for s in spec.pieces)]
-        coeffs = tuple(b[offs[j]:offs[j + 1]].copy()
-                       for j in range(len(spec.pieces)))
         out.append((TransitionRow("ramp", spec.start, spec.stop, coeffs),
-                    RowReport(len(b), cond, rel)))
-    return out, len(groups)
+                    RowReport(n, cond, rel)))
+    return out, stacks, 2 * len(jets)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +339,15 @@ class TransitionTable:
 # the row rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RowSpec:
     """The Hermite system of transition function f_index: it ramps over
     [start, stop] across the sections pieces, which span the grid intervals
     from first_piece on and meet at points; left zero conditions at start,
     interior[j] continuity conditions (through connections[j], None for the
     identity) at the j-th inner point, right value-one conditions at stop.
-    A step row (start == stop) has no pieces."""
+    A step row (start == stop) has no pieces.  A spec is read, never
+    changed: its key is taken when it is made."""
     index: int
     start: float
     stop: float
@@ -317,10 +365,9 @@ class RowSpec:
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "key", (
-            self.start, self.stop, self.points, self.left, self.interior,
-            self.right, tuple(map(id, self.pieces)),
-            tuple(map(id, self.connections))))
+        self.key = (self.start, self.stop, self.points, self.left,
+                    self.interior, self.right, tuple(map(id, self.pieces)),
+                    tuple(map(id, self.connections)))
 
 
 def _row_specs(grid: np.ndarray, sections: list[ECSection], starts, ends,
@@ -344,6 +391,7 @@ def _row_specs(grid: np.ndarray, sections: list[ECSection], starts, ends,
                starts.searchsorted(lo, "right") - (rows - 1),     # left runs
                last - ends.searchsorted(hi))                      # right runs
     points = grid.tolist()
+    links = [connections.get(j) for j in range(len(points))]
     specs = {}
     for i, x0, x1, a, b, run0, run1 in zip(*(c.tolist() for c in columns)):
         if x0 >= x1:
@@ -352,7 +400,7 @@ def _row_specs(grid: np.ndarray, sections: list[ECSection], starts, ends,
         specs[i] = RowSpec(i, x0, x1, a, tuple(sections[a:b]),
                            tuple(points[a:b + 1]), sections[a].order - run0,
                            tuple(counts[a + 1:b]), sections[b - 1].order - run1,
-                           tuple(connections.get(j) for j in range(a + 1, b)))
+                           tuple(links[a + 1:b]))
     return specs
 
 

@@ -128,7 +128,7 @@ def test_connection_matrix_validation():
         validate_connection_matrix(np.eye(3), 2)                   # wrong size
 
 
-# -- one jet per section end, one stacked solve per row size ------------------
+# -- one jet per section end, one stack per _STACK_ROWS rows of one size -----
 
 def trig_space(n_intervals, order=4, theta=1.0):
     part = build_extended_partition(np.linspace(0.0, 2.0, n_intervals + 1),
@@ -253,9 +253,9 @@ def stacked_build_cases():
     yield "multi-order", build_multiorder_space(secs, [1, 2, 0, 2])
 
 
-@pytest.mark.parametrize("label, space", list(stacked_build_cases()),
-                         ids=lambda v: v if isinstance(v, str) else "")
-def test_stacked_rows_are_the_rows_solved_alone(label, space):
+def assert_rows_solved_alone(space):
+    """Every row and report of space's table equals, byte for byte, the row
+    solved alone, and every residual the per-row A @ b one."""
     table = build_transition_table(space)
     assert len(table.specs) == space.dim - 1
     for i, spec in table.specs.items():
@@ -270,76 +270,183 @@ def test_stacked_rows_are_the_rows_solved_alone(label, space):
             assert rep.residual == row_residual(spec, np.concatenate(row.pieces))
 
 
+@pytest.mark.parametrize("label, space", list(stacked_build_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_stacked_rows_are_the_rows_solved_alone(label, space):
+    assert_rows_solved_alone(space)
+
+
+def random_connection(rng, cnt):
+    """A cnt x cnt connection matrix: lower triangular, positive diagonal,
+    first row and column (1, 0, .., 0)."""
+    M = np.tril(rng.uniform(-0.6, 0.6, (cnt, cnt)), -1)
+    M[0, :] = M[:, 0] = 0.0
+    return M + np.diag([1.0, *rng.uniform(0.5, 1.5, cnt - 1)])
+
+
+def random_section(rng, m, interval):
+    family = "polynomial" if m == 2 else \
+        rng.choice(["polynomial", "trigonometric", "hyperbolic"])
+    params = {"polynomial": None,
+              "trigonometric": {"theta": rng.uniform(0.5, 2.5)},
+              "hyperbolic": {"phi": rng.uniform(0.5, 3.0)}}[family]
+    return make_section(family, params, interval, m)
+
+
+def random_shape_spaces():
+    """Seeded spaces of random row shapes: orders 2 to 6, multiplicities 0
+    to m - 1 with connection matrices, multi-order spaces, and one space
+    with more rows of one size than a stack holds."""
+    rng = np.random.default_rng(30)
+    for m in [2, 3, 4, 5, 6] * 2:
+        mults = rng.integers(0, m, rng.integers(3, 9)).tolist()
+        label = f"order {m}, multiplicities {mults}"
+        bp = np.sort(rng.uniform(0.0, 1.0, len(mults) + 2))
+        bp[0], bp[-1] = 0.0, 1.0
+        part = build_extended_partition(bp, mults, m)
+        secs = [random_section(rng, m, (bp[j], bp[j + 1]))
+                for j in range(len(bp) - 1)]
+        links = {g: random_connection(rng, m - mu)
+                 for g, mu in enumerate(mults, 1) if mu < m - 1 and rng.random() < 0.5}
+        yield label, make_spline_space(part, secs, links)
+    for q in (3, 6, 12):
+        orders = rng.integers(2, 7, q + 1)
+        bp = np.linspace(0.0, 1.0, q + 2)
+        secs = [random_section(rng, int(m), (bp[j], bp[j + 1]))
+                for j, m in enumerate(orders)]
+        ks = [int(rng.integers(0, min(orders[j], orders[j + 1]))) for j in range(q)]
+        yield f"multi-order {orders.tolist()}", build_multiorder_space(secs, ks)
+    mults = rng.integers(1, 3, 150).tolist()
+    bp = np.linspace(0.0, 1.0, len(mults) + 2)
+    part = build_extended_partition(bp, mults, 4)
+    secs = [random_section(rng, 4, (bp[j], bp[j + 1])) for j in range(len(bp) - 1)]
+    yield "many stacks", make_spline_space(part, secs)
+
+
+@pytest.mark.parametrize("label, space", list(random_shape_spaces()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_random_row_shapes_are_the_rows_solved_alone(label, space):
+    assert_rows_solved_alone(space)
+    specs = [s for s in space._row_specs()[1].values() if s.pieces]
+    sizes = Counter(sum(sec.order for sec in s.pieces) for s in specs)
+    _, stacks, _ = transition._solve_rows(specs)
+    # one stack per _STACK_ROWS rows of one size, over the whole call
+    assert stacks == sum(-(-c // transition._STACK_ROWS) for c in sizes.values())
+    if label == "many stacks":
+        n, rows = sizes.most_common(1)[0]
+        shapes = {(s.left, s.interior, s.right) for s in specs
+                  if sum(sec.order for sec in s.pieces) == n}
+        assert rows > transition._STACK_ROWS and len(shapes) >= 3
+
+
 def row_residual(spec, b):
     """|A b - c| / (|A| |b| + 1) in the inf-norm, one row and one jet per
-    section end at a time."""
+    section end at a time, each connection matrix applied to its block."""
     def jet(k, end, cnt):
         sec = spec.pieces[k]
         return sec.jet(sec.order - 1, spec.points[k + end])[:cnt]
 
-    A, c = transition._hermite_system(spec, jet)
+    orders = [s.order for s in spec.pieces]
+    A, c = transition._hermite_system(
+        (spec.left, spec.interior, spec.right, *orders), jet)
+    offs = np.cumsum([0] + orders)
+    r0 = spec.left
+    for j, (cnt, M) in enumerate(zip(spec.interior, spec.connections)):
+        if M is not None:
+            A[r0:r0 + cnt, offs[j]:offs[j + 1]] = M @ jet(j, 1, cnt)
+        r0 += cnt
     return float(np.linalg.norm(A @ b - c, np.inf)
                  / (np.linalg.norm(A, np.inf) * np.linalg.norm(b, np.inf) + 1.0))
 
 
+def zero_generator(monkeypatch, sec):
+    """end_jets gives generator 0 of sec as zero at both of its ends, so
+    the system of every row across sec has a zero column."""
+    end_jets = transition.end_jets
+
+    def zeroed(secs, ends):
+        jets = end_jets(secs, ends)
+        for s, J in zip(secs, jets):
+            if s is sec:
+                J[:, :, 0] = 0.0
+        return jets
+
+    monkeypatch.setattr(transition, "end_jets", zeroed)
+
+
+def across(specs, sec):
+    """Positions of the specs whose rows cross section sec."""
+    return [g for g, spec in enumerate(specs)
+            if any(s is sec for s in spec.pieces)]
+
+
+def non_square(spec):
+    return dataclasses.replace(spec, left=spec.left + 1)
+
+
 def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
+    # the rows across one section are singular; a non-square row after
+    # them does not raise first
     space = trig_space(10)
-    _, specs = space._row_specs()
-    bad = 7
-    sizes = Counter(sum(s.order for s in spec.pieces) for spec in specs.values())
-    assert sizes[sum(s.order for s in specs[bad].pieces)] > 1
-    system = transition._hermite_system
-
-    def broken(spec, jet):
-        if spec.index == bad + 2:
-            raise ConnectionMatrixError("a later row fails while assembling")
-        A, c = system(spec, jet)
-        if spec.index == bad:
-            A[:, 0] = 0.0
-        return A, c
-
-    monkeypatch.setattr(transition, "_hermite_system", broken)
+    specs = list(space._row_specs()[1].values())
+    sec = space.sections[5]
+    hit = across(specs, sec)
+    bad = specs[hit[0]]
+    sizes = Counter(sum(s.order for s in spec.pieces) for spec in specs)
+    assert sizes[sum(s.order for s in bad.pieces)] > 1
+    specs[hit[-1] + 1] = non_square(specs[hit[-1] + 1])
+    zero_generator(monkeypatch, sec)
     with pytest.raises(SingularSystemError) as stacked:
-        build_transition_table(space)
-    for spec in specs.values():
-        try:
-            transition._solve_rows([spec])
-        except SingularSystemError as exc:
-            alone = exc
-            break
-    for e in (stacked.value, alone):
-        assert e.index == bad and "is singular" in str(e)
-    assert str(stacked.value) == str(alone)
+        transition._solve_rows(specs)
+    with pytest.raises(SingularSystemError) as alone:
+        transition._solve_rows([bad])
+    for e in (stacked.value, alone.value):
+        assert e.index == bad.index and "is singular" in str(e)
+    assert str(stacked.value) == str(alone.value)
     assert (stacked.value.condition, stacked.value.residual) == \
-        (alone.condition, alone.residual)
+        (alone.value.condition, alone.value.residual)
 
 
 def test_assembly_error_is_raised_after_the_earlier_rows(monkeypatch):
     # a row whose system cannot be assembled raises where it stands in spec
-    # order: ahead of a singular row after it (a singular row before it
+    # order: ahead of the singular rows after it (a singular row before it
     # raises first, as above)
     space = trig_space(10)
-    bad, later = 5, 8
-    system = transition._hermite_system
+    specs = list(space._row_specs()[1].values())
+    sec = space.sections[8]
+    bad = 2
+    assert across(specs, sec)[0] > bad
+    specs[bad] = non_square(specs[bad])
+    zero_generator(monkeypatch, sec)
+    with pytest.raises(SingularSystemError, match="not square") as err:
+        transition._solve_rows(specs)
+    assert err.value.index == specs[bad].index
 
-    def broken(spec, jet):
-        if spec.index == bad:
-            raise ConnectionMatrixError("row 5 fails while assembling")
-        A, c = system(spec, jet)
-        if spec.index == later:
-            A[:, 0] = 0.0
-        return A, c
 
-    monkeypatch.setattr(transition, "_hermite_system", broken)
-    with pytest.raises(ConnectionMatrixError, match="row 5"):
-        build_transition_table(space)
+@pytest.mark.parametrize("change", [{"left": 1}, {"right": -1}],
+                         ids=["one more", "one fewer"])
+def test_non_square_row_in_a_stack_of_square_ones_raises_as_alone(change):
+    # the non-square row has the size of the rows around it
+    space = trig_space(12)
+    specs = list(space._row_specs()[1].values())
+    g = len(specs) // 2
+    size = sum(s.order for s in specs[g].pieces)
+    assert sum(sum(s.order for s in spec.pieces) == size for spec in specs) > 2
+    specs[g] = dataclasses.replace(
+        specs[g], **{k: getattr(specs[g], k) + d for k, d in change.items()})
+    with pytest.raises(SingularSystemError, match="not square") as stacked:
+        transition._solve_rows(specs)
+    with pytest.raises(SingularSystemError, match="not square") as alone:
+        transition._solve_rows([specs[g]])
+    assert stacked.value.index == specs[g].index
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_non_square_system_raises():
     space = trig_space(6)
     _, specs = space._row_specs()
     spec = specs[4]
-    bad = dataclasses.replace(spec, left=spec.left + 1)
+    bad = non_square(spec)
     with pytest.raises(SingularSystemError, match="not square") as err:
         transition._solve_rows([bad])
     assert err.value.index == 4
@@ -376,8 +483,9 @@ def test_table_assembly_logs_one_debug_record(caplog):
         for r in caplog.records if r.name == "chebspline"]
     ramps = sum(row.kind == "ramp" for row in table.rows.values())
     sizes = {rep.size for rep in table.reports.values()}
-    # rows solved, rows copied, stacked solves (one per row size here),
-    # section ends evaluated, max condition
+    # rows solved, rows copied, stacked solves (one per row size here: no
+    # size has more than _STACK_ROWS rows), section ends evaluated, max
+    # condition
     assert fresh == [ramps, 0, len(sizes), 2 * len(table.sections),
                      float(f"{table.max_condition:.3e}")]
     assert 0 < refined[0] < ramps and refined[1] > 0
