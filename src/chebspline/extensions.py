@@ -13,8 +13,11 @@ conditions of a transition row: the left derivative vector is premultiplied
 by a lower triangular M with unit first row/column before being matched to
 the right side.  They need no code of their own: make_spline_space attaches
 them to break points, the row solver (transition._solve_rows) applies them,
-insert_knot carries them through refinement and validate_connection_matrix
-checks them.
+and validate_connection_matrix checks them.  Insertion, removal and
+periodic_to_clamped derive every refined space in one helper
+(refine._refined), which keeps each matrix on its break point, found by
+value in the refined grid; an insertion on that point shrinks it by one
+row and column.
 """
 
 from __future__ import annotations

@@ -52,14 +52,14 @@ def refine_space_structure(space: SplineSpace, that: float,
                            ) -> tuple[SplineSpace, int, int]:
     """Insert a knot into the space structure only (no coefficients).
 
-    Returns (new space, scan index ell, multiplicity after).
+    Returns (new space, with its table, scan index ell, multiplicity after).
     Existing connection matrices shrink by one row/column when the insertion
     lands on their break point; fresh break points get no matrix (identity).
     """
     part = space.partition
     m = part.order
     knots = part.knots
-    if that < knots[0] or that > knots[-1]:
+    if not knots[0] <= that <= knots[-1]:
         raise RefinementError(
             f"insertion point {that} outside the knot range "
             f"[{knots[0]}, {knots[-1]}]")
@@ -70,37 +70,38 @@ def refine_space_structure(space: SplineSpace, that: float,
     if mult > limit:
         raise RefinementError(
             f"inserting {that} would raise its multiplicity to {mult} > {limit}")
-    new_knots = np.insert(knots, ell, that)
     grid = part.grid
     sections = list(space.sections)
     if hit is None:
         j0 = _interval_index(grid, that, "right")
-        left, right = split_section(sections[j0], that, strategy)
-        sections[j0:j0 + 1] = [left, right]
+        sections[j0:j0 + 1] = split_section(sections[j0], that, strategy)
         grid = np.insert(grid, j0 + 1, that)
-        new_conn = {(g if g <= j0 else g + 1): M
-                    for g, M in space.connections.items()}
-    else:
-        j0 = hit
-        new_conn = {}
-        for g, M in space.connections.items():
-            if g == j0:
-                k = m - mult
-                if k >= 1:
-                    new_conn[g] = np.asarray(M, dtype=float)[:k, :k]
-            else:
-                new_conn[g] = M
-    new_part = partition_from_knots(m, new_knots, grid=grid)
-    return SplineSpace(new_part, sections, new_conn), ell, mult
+    k = m - mult     # rows of a matrix at that; none once that reaches m
+    conn = {g: M if g != hit else np.asarray(M, dtype=float)[:k, :k]
+            for g, M in space.connections.items() if g != hit or k}
+    return (_refined(space, np.insert(knots, ell, that), grid, sections, conn),
+            ell, mult)
 
 
-def _reuse_table(old_space: SplineSpace, new_space: SplineSpace) -> TransitionTable:
-    """Table of new_space derived from old_space's: every row whose Hermite
-    system is unchanged is shared with its report, the others are solved.
-    The old rows are looked up by the specs their table kept."""
-    old = old_space.table
-    return _assemble_table(new_space, {spec.key: (old.rows[i], old.reports.get(i))
-                                       for i, spec in old.specs.items()})
+def _refined(space: SplineSpace, knots: np.ndarray, grid: np.ndarray,
+             sections: list[ECSection], connections: dict) -> SplineSpace:
+    """The space on knots and grid with these sections, derived from space.
+
+    Each matrix of connections (keyed by space's grid indices) stays on its
+    break point, found by value in grid; one that is no longer an inner
+    point of grid is dropped.  The table shares every row of space's table
+    whose Hermite system is unchanged, with its report; the others are
+    solved.
+    """
+    inner = {x: g for g, x in enumerate(grid.tolist()[1:-1], 1)}
+    old = space.partition.grid.tolist()
+    new = SplineSpace(partition_from_knots(space.order, knots, grid=grid),
+                      sections, {inner[old[g]]: M for g, M in connections.items()
+                                 if old[g] in inner})
+    table = space.table
+    new._table = _assemble_table(new, {spec.key: (table.rows[i], table.reports.get(i))
+                                       for i, spec in table.specs.items()})
+    return new
 
 
 def _compute_alphas(old_table: TransitionTable, new_table: TransitionTable,
@@ -137,23 +138,22 @@ def _compute_alphas(old_table: TransitionTable, new_table: TransitionTable,
 
 
 def _apply_alphas(alphas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """chat_i = alpha_i c_i + (1 - alpha_i) c_{i-1}, out-of-range c = 0."""
+    """chat_i = alpha_i c_i + (1 - alpha_i) c_{i-1}, out-of-range c = 0.
+    Each entry starts from +0.0 and leaves out a term whose weight is 0, so
+    a zero entry is +0.0 whatever the signs of its terms."""
     new_dim = len(alphas)
     old_dim, d = coeffs.shape
-    out = np.zeros((new_dim, d))
-    for i in range(1, new_dim + 1):
-        a = alphas[i - 1]
-        if a != 0.0 and i <= old_dim:
-            out[i - 1] += a * coeffs[i - 1]
-        if a != 1.0 and 2 <= i <= old_dim + 1:
-            out[i - 1] += (1.0 - a) * coeffs[i - 2]
-    return out
+    cur, prev = np.zeros((new_dim, d)), np.zeros((new_dim, d))
+    cur[:old_dim] = coeffs[:new_dim]
+    prev[1:old_dim + 1] = coeffs[:new_dim - 1]
+    a = alphas[:, None]
+    return ((0.0 + np.where(a != 0.0, a * cur, 0.0))
+            + np.where(a != 1.0, (1.0 - a) * prev, 0.0))
 
 
 def _insert(space: SplineSpace, spline: Spline, that: float,
             strategy: str, formula: str) -> tuple[RefinementStep, Spline]:
     new_space, ell, mult = refine_space_structure(space, that, strategy)
-    new_space._table = _reuse_table(space, new_space)
     alphas = _compute_alphas(space.table, new_space.table, that, ell, mult,
                              formula)
     step = RefinementStep(that, ell, mult, alphas, new_space, formula, strategy)
@@ -337,26 +337,21 @@ def _elevate_controls(c: np.ndarray, gam: np.ndarray,
                       delta: np.ndarray | None, r: int) -> np.ndarray:
     n = c.shape[0] - 1
     out = np.zeros((n + 1 + r, c.shape[1]))
+    out[0], out[-1] = c[0], c[n]
+    g = gam[1:n + 1, None]
     if r == 1:
-        out[0] = c[0]
-        for i in range(1, n + 1):
-            out[i] = gam[i] * c[i] + (1.0 - gam[i]) * c[i - 1]
-        out[n + 1] = c[n]
+        out[1:n + 1] = g * c[1:] + (1.0 - g) * c[:-1]
         return out
-    out[0] = c[0]
     out[1] = gam[1] * c[1] + (1.0 - gam[1]) * c[0]
-    for i in range(2, n + 1):
-        di = delta[i - 1]
-        out[i] = gam[i] * c[i] + di * c[i - 1] + (1.0 - gam[i] - di) * c[i - 2]
-    dn1 = delta[n]
-    out[n + 1] = dn1 * c[n] + (1.0 - dn1) * c[n - 1]
-    out[n + 2] = c[n]
+    g, d = g[1:], delta[1:n, None]
+    out[2:n + 1] = g * c[2:] + d * c[1:-1] + (1.0 - g - d) * c[:-2]
+    out[n + 1] = delta[n] * c[n] + (1.0 - delta[n]) * c[n - 1]
     return out
 
 
 def elevate_order(space: SplineSpace, spline: Spline, r: int,
-                  target_families=None, *, removal_tolerance: float = 1e-9,
-                  strategy: str = "restrict") -> tuple[ElevationStep, Spline]:
+                  target_families=None, *, strategy: str = "restrict"
+                  ) -> tuple[ElevationStep, Spline]:
     """Raise the order of every section by r (1 or 2).
 
     Pipeline: Bezier-extract, elevate each segment within a containing
@@ -404,8 +399,7 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
     for x in space.partition.grid[1:-1]:
         target_mult = space.partition.multiplicity_of(float(x)) + r
         while cur_space.partition.multiplicity_of(float(x)) > target_mult:
-            cur_space, cur, resid = remove_knot(cur_space, cur, float(x),
-                                                removal_tolerance)
+            cur_space, cur, resid = remove_knot(cur_space, cur, float(x))
             residuals.append(resid)
     step = ElevationStep(r, tuple(gammas),
                          None if r == 1 else tuple(deltas),
@@ -428,7 +422,6 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float,
     the break point stays in the grid with multiplicity zero.
     """
     part = space.partition
-    m = part.order
     hit, that = _snap_to_grid(part.grid, that)
     if hit is None or not (space.a < that < space.b):
         raise RefinementError(f"{that} is not an interior break point")
@@ -441,21 +434,16 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float,
         raise RefinementError(
             f"cannot remove a knot at {that}: a non-identity connection "
             f"matrix is attached there")
-    knots = part.knots.tolist()
-    knots.remove(that)
     grid = part.grid
     sections = list(space.sections)
-    conn = dict(space.connections)
     if mult == 1:
         merged = merge_sections(sections[hit - 1], sections[hit])
         if merged is not None:
             sections[hit - 1:hit + 1] = [merged]
             grid = np.delete(grid, hit)
-            conn = {(g if g < hit else g - 1): M for g, M in conn.items()}
-    coarse_part = partition_from_knots(m, np.asarray(knots), grid=grid)
-    coarse_space = SplineSpace(coarse_part, sections, conn)
-    coarse_space._table = _reuse_table(space, coarse_space)
-    ell = int(np.searchsorted(coarse_part.knots, that, side="right"))
+    knots = np.delete(part.knots, part.knots.searchsorted(that))
+    coarse_space = _refined(space, knots, grid, sections, space.connections)
+    ell = int(np.searchsorted(knots, that, side="right"))
     alphas = _compute_alphas(coarse_space.table, space.table, that, ell, mult,
                              "left")
     B = _apply_alphas(alphas, np.eye(coarse_space.dim))
@@ -539,19 +527,11 @@ def periodic_to_clamped(space: SplineSpace, spline: Spline
     while cur_space.partition.multiplicity_of(b) < m:
         step, cur = _insert(cur_space, cur, b, "restrict", "right")
         cur_space = step.space
-    knots = cur_space.partition.knots
-    dim = cur_space.dim
-    first = next(i for i in range(1, dim + 1) if knots[i + m - 1] > a)
-    last = max(i for i in range(1, dim + 1) if knots[i - 1] < b)
-    new_knots = knots[first - 1:last + m]
-    grid = cur_space.partition.grid
-    keep = (grid >= a) & (grid <= b)
-    offset = int(np.nonzero(keep)[0][0])
-    new_grid = grid[keep]
-    new_sections = cur_space.sections[offset:offset + len(new_grid) - 1]
-    new_conn = {g - offset: M for g, M in cur_space.connections.items()
-                if 0 < g - offset < len(new_grid) - 1}
-    new_part = partition_from_knots(m, new_knots, grid=new_grid)
-    clamped = SplineSpace(new_part, list(new_sections), new_conn)
-    clamped._table = _reuse_table(cur_space, clamped)
-    return clamped, Spline(clamped, cur.coefficients[first - 1:last])
+    # the basis functions kept are those whose support [t_i, t_{i+m}]
+    # meets (a, b), and the sections those of [a, b]
+    knots, grid = cur_space.partition.knots, cur_space.partition.grid
+    first, last = knots.searchsorted(a, "right") - m, knots.searchsorted(b)
+    lo, hi = grid.searchsorted(a), grid.searchsorted(b, "right")
+    clamped = _refined(cur_space, knots[first:last + m], grid[lo:hi],
+                       cur_space.sections[lo:hi - 1], cur_space.connections)
+    return clamped, Spline(clamped, cur.coefficients[first:last])

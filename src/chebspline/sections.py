@@ -312,6 +312,7 @@ def _check(cond: bool, msg: str):
 def _get(params, name):
     _check(name in params, f"missing parameter {name!r}")
     v = float(params[name])
+    _check(math.isfinite(v), f"{name} must be finite, got {v}")
     return v
 
 

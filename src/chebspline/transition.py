@@ -47,12 +47,14 @@ _log = logging.getLogger("chebspline")
 # ---------------------------------------------------------------------------
 
 def validate_connection_matrix(M: np.ndarray, order: int) -> np.ndarray:
-    """Check a connection matrix: lower triangular, positive diagonal,
+    """Check a connection matrix: finite, lower triangular, positive diagonal,
     first row and first column equal to (1, 0, .., 0)."""
     M = np.asarray(M, dtype=float)
     if M.shape != (order, order):
         raise ConnectionMatrixError(
             f"connection matrix must be {order}x{order}, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ConnectionMatrixError("connection matrix entries must be finite")
     if order >= 1 and abs(M[0, 0] - 1.0) > 1e-12:
         raise ConnectionMatrixError("connection matrix must have M[0,0] = 1")
     if np.any(np.abs(np.triu(M, 1)) > 1e-12):
@@ -134,10 +136,12 @@ def _connect(A: np.ndarray, spec: RowSpec, jets: dict) -> None:
         r0, c0 = r0 + cnt, c0 + m
 
 
+@np.errstate(invalid="ignore")
 def _equilibrated_solve(A: np.ndarray, C: np.ndarray) -> tuple:
     """Equilibrate, solve and check a C-contiguous stack of systems of one
     size: per system the condition, the error if LAPACK rejects it (then the
-    stack is solved row by row), the solution and the relative residual."""
+    stack is solved row by row), the solution and the relative residual,
+    which is NaN, not a warning, for a system with non-finite entries."""
     row_s = np.abs(A).max(axis=2)
     row_s[row_s == 0] = 1.0
     A_eq = A / row_s[:, :, None]
@@ -247,7 +251,7 @@ def _solve_rows(specs: Sequence[RowSpec]
                 f"(condition estimate {cond:.3e}); the space does not admit a "
                 f"numerically usable B-spline basis", index=index,
                 condition=cond) from error
-        if rel > RESIDUAL_TOL:
+        if not rel <= RESIDUAL_TOL:      # NaN fails too
             raise SingularSystemError(
                 f"transition system for f_{index} solved with relative residual "
                 f"{rel:.3e} > {RESIDUAL_TOL:.1e} (condition {cond:.3e}); the "

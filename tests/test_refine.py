@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from chebspline import (ChebsplineError, KnotRemovalError, RefinementError,
@@ -491,3 +491,138 @@ def test_low_exponent_source_outside_the_polynomials_needs_a_target(n1, n2):
     spline = variable_degree_spline(n1, n2, 4)
     with pytest.raises(RefinementError, match="target_families"):
         elevate_order(spline.space, spline, 1)
+
+
+def test_insertion_point_must_be_a_number():
+    space = polynomial_space([0.0, 1.0, 2.0], [1], 4)
+    spline = random_spline(space, np.random.default_rng(19))
+    for insert in (insert_knot, insert_knot_right):
+        with pytest.raises(RefinementError, match="outside"):
+            insert(space, spline, float("nan"))
+
+
+# the staircase updates as row loops: the array forms must agree bit for bit
+
+def apply_alphas_loop(alphas, coeffs):
+    new_dim = len(alphas)
+    old_dim, d = coeffs.shape
+    out = np.zeros((new_dim, d))
+    for i in range(1, new_dim + 1):
+        a = alphas[i - 1]
+        if a != 0.0 and i <= old_dim:
+            out[i - 1] += a * coeffs[i - 1]
+        if a != 1.0 and 2 <= i <= old_dim + 1:
+            out[i - 1] += (1.0 - a) * coeffs[i - 2]
+    return out
+
+
+def elevate_controls_loop(c, gam, delta, r):
+    n = c.shape[0] - 1
+    out = np.zeros((n + 1 + r, c.shape[1]))
+    out[0] = c[0]
+    if r == 1:
+        for i in range(1, n + 1):
+            out[i] = gam[i] * c[i] + (1.0 - gam[i]) * c[i - 1]
+        out[n + 1] = c[n]
+        return out
+    out[1] = gam[1] * c[1] + (1.0 - gam[1]) * c[0]
+    for i in range(2, n + 1):
+        di = delta[i - 1]
+        out[i] = gam[i] * c[i] + di * c[i - 1] + (1.0 - gam[i] - di) * c[i - 2]
+    out[n + 1] = delta[n] * c[n] + (1.0 - delta[n]) * c[n - 1]
+    out[n + 2] = c[n]
+    return out
+
+
+def signed_zeros_and_steps(rng, shape):
+    """Values that are 0.0, -0.0, 1.0 or normal, each about a quarter of
+    the time: products with them give zeros of both signs."""
+    pick = rng.integers(4, size=shape)
+    return np.choose(pick, [0.0, -0.0, 1.0, rng.normal(size=shape)])
+
+
+def test_staircases_match_the_row_loops():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        old_dim, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        for new_dim in (old_dim + 1, old_dim):
+            alphas = signed_zeros_and_steps(rng, new_dim)
+            coeffs = signed_zeros_and_steps(rng, (old_dim, d))
+            assert (refine._apply_alphas(alphas, coeffs).tobytes()
+                    == apply_alphas_loop(alphas, coeffs).tobytes())
+        n, r = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+        c = signed_zeros_and_steps(rng, (n + 1, d))
+        gam = signed_zeros_and_steps(rng, n + r + 1)
+        delta = signed_zeros_and_steps(rng, n + 2) if r == 2 else None
+        assert (refine._elevate_controls(c, gam, delta, r).tobytes()
+                == elevate_controls_loop(c, gam, delta, r).tobytes())
+
+
+# connection matrices follow their break point through refinement
+
+CONNECTION = np.array([[1.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, -0.4, 0.7]])
+
+
+def connected_spline():
+    """Cubic trigonometric spline on [0, 4], simple knots, a matrix at 2."""
+    part = build_extended_partition([0.0, 1.0, 2.0, 3.0, 4.0], [1, 1, 1], 4)
+    secs = [make_section("trigonometric", {"theta": 1.0},
+                         (part.grid[j], part.grid[j + 1]), 4)
+            for j in range(part.num_sections)]
+    space = make_spline_space(part, secs, {2: CONNECTION})
+    return random_spline(space, np.random.default_rng(21))
+
+
+def matrix_at(space, x):
+    """The connection matrix at break point x (None when identity)."""
+    return space.connections.get(int(space.partition.grid.searchsorted(x)))
+
+
+def assert_matches_fresh_build(space):
+    fresh = make_spline_space(space.partition, space.sections, space.connections)
+    assert_same_table(space.table, fresh.table)
+
+
+def test_insertion_left_of_a_connected_point_keeps_its_matrix():
+    spline = connected_spline()
+    step, fine = insert_knot(spline.space, spline, 1.5)
+    assert list(step.space.connections) == [3]
+    assert matrix_at(step.space, 2.0) is spline.space.connections[2]
+    assert_matches_fresh_build(step.space)
+    assert max_deviation(spline, fine) < 1e-12
+
+
+def test_insertion_at_a_connected_point_shrinks_its_matrix():
+    spline = connected_spline()
+    cur_space, cur = spline.space, spline
+    for k in (2, 1):
+        step, cur = insert_knot(cur_space, cur, 2.0)
+        cur_space = step.space
+        assert list(cur_space.connections) == [2]
+        assert_array_equal(matrix_at(cur_space, 2.0), CONNECTION[:k, :k])
+        assert_matches_fresh_build(cur_space)
+    assert max_deviation(spline, cur) < 1e-12
+
+
+def test_removal_merging_sections_left_of_a_connected_point_keeps_its_matrix():
+    spline = connected_spline()
+    step, fine = insert_knot(spline.space, spline, 1.5)
+    coarse, out, _ = remove_knot(step.space, fine, 1.5)
+    assert len(coarse.sections) == len(spline.space.sections)
+    assert list(coarse.connections) == [2]
+    assert matrix_at(coarse, 2.0) is spline.space.connections[2]
+    assert_matches_fresh_build(coarse)
+    assert max_deviation(spline, out) < 1e-12
+
+
+def test_clamping_keeps_a_matrix_inside_the_domain():
+    periodic = wraparound_spline().space
+    space = SplineSpace(periodic.partition, periodic.sections, {5: CONNECTION})
+    assert periodic.partition.grid[5] == 2.0
+    spline = random_spline(space, np.random.default_rng(22))
+    clamped, out = periodic_to_clamped(space, spline)
+    assert clamped.partition.grid.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert list(clamped.connections) == [2]
+    assert matrix_at(clamped, 2.0) is CONNECTION
+    assert_matches_fresh_build(clamped)
+    assert max_deviation(spline, out) < 1e-12

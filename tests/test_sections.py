@@ -29,6 +29,15 @@ def test_trig_frequency_bound_rejected():
         make_section("trigonometric", {"theta": 4.0}, (0.0, 1.0), 3)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("hyperbolic", {"phi": math.inf}),
+    ("trigonometric", {"theta": math.nan}),
+    ("variable-degree", {"n1": 4.0, "n2": -math.inf})])
+def test_non_finite_parameters_rejected(family, params):
+    with pytest.raises(InvalidSectionError, match="must be finite"):
+        make_section(family, params, (0.0, 1.0), 4)
+
+
 def test_eval_generator_polynomial_derivative():
     sec = make_section("polynomial", None, (0.0, 1.0), 3)
     # D t^2 = 2t at t = 1/2

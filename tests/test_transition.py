@@ -469,6 +469,31 @@ def test_residual_gate_rejects_a_perturbed_solve(monkeypatch):
     assert err.value.residual > transition.RESIDUAL_TOL
 
 
+def test_residual_gate_rejects_a_non_finite_residual():
+    # with n1 = 2.5 below order 4 - 1 the third derivative of (1-t)^n1 is
+    # infinite at the section end, so the systems across the break point of
+    # multiplicity zero hold -inf: their residuals are NaN, which no
+    # comparison with the tolerance may pass
+    secs = [make_section("variable-degree", {"n1": 2.5, "n2": 3.0}, iv, 4)
+            for iv in ((0.0, 0.5), (0.5, 1.0))]
+    space = make_spline_space(build_extended_partition([0.0, 0.5, 1.0], [0], 4),
+                              secs)
+    with pytest.raises(SingularSystemError, match="relative residual nan"
+                       ) as err:
+        space.table
+    assert math.isnan(err.value.residual)
+
+
+def test_connection_matrix_entries_must_be_finite():
+    M = np.diag([1.0, np.nan, 1.0])
+    with pytest.raises(ConnectionMatrixError, match="finite"):
+        validate_connection_matrix(M, 3)
+    space = family_space(np.random.default_rng(5), "polynomial", 4,
+                         lambda rng: None, None, [1], {1: M})
+    with pytest.raises(ConnectionMatrixError, match="finite"):
+        space.table
+
+
 def test_table_assembly_logs_one_debug_record(caplog):
     space = trig_space(8)
     spline = Spline(space, np.ones((space.dim, 1)))
