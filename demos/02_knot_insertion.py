@@ -16,8 +16,7 @@ OUT.mkdir(exist_ok=True)
 
 curve = load_object(HERE / "descriptors" / "trig_m4_open_curve.json")
 space = curve.space
-print(f"start: dim {space.dim}, "
-      f"breakpoints {np.asarray(space.partition.breakpoints())}")
+print(f"start: dim {space.dim}, breakpoints {space.partition.grid}")
 
 refined = curve
 for that in np.linspace(space.a, space.b, 9)[1:-1]:

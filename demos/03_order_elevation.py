@@ -27,7 +27,7 @@ _, lifted = elevate_order(curve.space, curve, 2)
 print(f"orders {curve.space.order} -> {lifted.space.order}, "
       f"dims {curve.space.dim} -> {lifted.space.dim}, "
       f"deviation {max_deviation(curve, lifted):.2e}")
-for x in curve.space.partition.breakpoints()[1:-1]:
+for x in curve.space.partition.grid[1:-1]:
     print(f"  multiplicity at {x}: "
           f"{curve.space.partition.multiplicity_of(float(x))} -> "
           f"{lifted.space.partition.multiplicity_of(float(x))}")

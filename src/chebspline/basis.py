@@ -69,6 +69,8 @@ class SplineSpace:
 
     def support(self, i: int) -> tuple[float, float]:
         """Support [t_i, t_{i+m}] of basis function N_i."""
+        if not 1 <= i <= self.dim:
+            raise PartitionError(f"basis index {i} out of range 1..{self.dim}")
         return self.partition.knot(i), self.partition.knot(i + self.order)
 
 
@@ -200,7 +202,7 @@ def integrate_spline(spline: Spline, x0: float, x1: float) -> np.ndarray:
     on [x0, x1] are read, one block per grid interval: the rows before them
     are 1 there and the rows after them 0, so their weights N_i vanish."""
     if x0 > x1:
-        raise ValueError("integration bounds must satisfy x0 <= x1")
+        raise PartitionError("integration bounds must satisfy x0 <= x1")
     space = spline.space
     table = space.table
     grid = table.grid
@@ -277,12 +279,20 @@ def _sample_rows(space, xs: np.ndarray, r: int = 0):
         yield idx, lo, _row_values(P, table.sections[j].eval_all(r, xs[idx]))
 
 
+def _points(xs) -> np.ndarray:
+    """The sample points xs as a 1-D float array; any other shape raises."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise PartitionError(f"sample points need a 1-D array, not shape {xs.shape}")
+    return xs
+
+
 def sample_basis(space: SplineSpace, xs) -> np.ndarray:
     """Matrix of all basis values at the sample points (len(xs) x dim).
 
     Takes single-order and multi-order spaces.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _points(xs)
     out = np.zeros((len(xs), space.dim))
     for idx, lo, V in _sample_rows(space, xs):
         out[idx, lo - 2:lo - 1 + len(V)] = _differences(V).T
@@ -291,7 +301,7 @@ def sample_basis(space: SplineSpace, xs) -> np.ndarray:
 
 def sample_transitions(space: SplineSpace, xs) -> np.ndarray:
     """Matrix of inner transition values f_2..f_dim at the sample points."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _points(xs)
     out = np.zeros((len(xs), space.dim - 1))
     for idx, lo, V in _sample_rows(space, xs):
         out[idx, :lo - 2] = 1.0
@@ -301,7 +311,7 @@ def sample_transitions(space: SplineSpace, xs) -> np.ndarray:
 
 def sample_spline(spline: Spline, xs, r: int = 0) -> np.ndarray:
     """D^r of the spline at the sample points (len(xs) x d)."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _points(xs)
     c = spline.coefficients
     head = 1.0 if r == 0 else 0.0
     out = np.zeros((len(xs), spline.dim_target))

@@ -61,10 +61,6 @@ def _samples_opt(default=1000):
 
 _format_opt = click.option("--format", "fmt", type=click.Choice(["csv", "svg"]),
                            default="csv", show_default=True)
-_strategy_opt = click.option("--strategy",
-                             type=click.Choice(["restrict", "reparametrize"]),
-                             default="restrict", show_default=True,
-                             help="how refined sections parametrize themselves")
 
 
 def _stem(path: str) -> str:
@@ -203,7 +199,9 @@ def eval_cmd(input_path, output_path, samples, fmt, comb):
 @_out_opt
 @click.option("--at", "ats", type=float, multiple=True, required=True,
               help="knot to insert; repeat for several")
-@_strategy_opt
+@click.option("--strategy", type=click.Choice(["restrict", "reparametrize"]),
+              default="restrict", show_default=True,
+              help="how refined sections parametrize themselves")
 @_guarded
 def insert_cmd(input_path, output_path, ats, strategy):
     """Insert knots into a spline, writing the refined descriptor."""
@@ -222,12 +220,11 @@ def insert_cmd(input_path, output_path, ats, strategy):
 @_out_opt
 @click.option("--r", "r", type=click.IntRange(1, 2), default=1,
               show_default=True, help="how many orders to raise")
-@_strategy_opt
 @_guarded
-def elevate_cmd(input_path, output_path, r, strategy):
+def elevate_cmd(input_path, output_path, r):
     """Raise the section order of a spline by r, writing the descriptor."""
     spline = _load(input_path, Spline, "elevate needs a spline descriptor")
-    step, elevated = elevate_order(spline.space, spline, r, strategy=strategy)
+    step, elevated = elevate_order(spline.space, spline, r)
     dev = max_deviation(spline, elevated)
     resid = max(step.removal_residuals) if step.removal_residuals else 0.0
     click.echo(f"elevated order {spline.space.order} -> "
@@ -239,14 +236,13 @@ def elevate_cmd(input_path, output_path, r, strategy):
 @main.command("bezier")
 @_in_opt
 @_out_opt
-@_strategy_opt
 @_guarded
-def bezier_cmd(input_path, output_path, strategy):
+def bezier_cmd(input_path, output_path):
     """Extract the Bezier form: every interior knot at multiplicity m-1."""
     spline = _load(input_path, Spline, "bezier needs a spline descriptor")
-    bez = to_bezier_segments(spline.space, spline, strategy)
+    bez = to_bezier_segments(spline.space, spline)
     dev = max_deviation(spline, bez.spline)
-    click.echo(f"extracted {len(bez.sections)} segments of order "
+    click.echo(f"extracted {len(bez.controls)} segments of order "
                f"{spline.space.order}: max deviation {dev:.3e}")
     _save(output_path, spline, bez.spline)
 

@@ -72,7 +72,7 @@ class MultiOrderSpace:
     def support(self, i: int) -> tuple[float, float]:
         """[t_i, s_i], outside which N_i vanishes identically."""
         if not 1 <= i <= self.dim:
-            raise IndexError(f"basis index {i} out of range 1..{self.dim}")
+            raise PartitionError(f"basis index {i} out of range 1..{self.dim}")
         return float(self.t_knots[i - 1]), float(self.s_knots[i - 1])
 
     def _row_specs(self):

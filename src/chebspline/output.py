@@ -12,6 +12,10 @@ import numpy as np
 from .errors import ChebsplineError
 
 FLOAT_FMT = "%.17g"
+FUNCTION_SIZE = (720, 480)   # pixels of a function plot
+CURVE_SIZE = (720, 720)      # pixels of a curve plot
+MARGIN = 42.0                # pixels between the drawing and the border
+COMB_FRAC = 0.15             # longest comb whisker / bounding-box diagonal
 
 # tab10, the matplotlib default cycle
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -57,20 +61,20 @@ def _p(v: float) -> str:
 class _Viewport:
     """World box -> pixel box, y flipped; optionally equal x/y scales."""
 
-    def __init__(self, xlim, ylim, size, margin: float, equal: bool):
+    def __init__(self, xlim, ylim, size, equal: bool):
         self.w, self.h = size
         x0, x1 = xlim
         y0, y1 = ylim
         spanx = max(x1 - x0, 1e-30)
         spany = max(y1 - y0, 1e-30)
-        sx = (self.w - 2 * margin) / spanx
-        sy = (self.h - 2 * margin) / spany
+        sx = (self.w - 2 * MARGIN) / spanx
+        sy = (self.h - 2 * MARGIN) / spany
         if equal:
             sx = sy = min(sx, sy)
         self.sx, self.sy = sx, sy
         # center the drawing in the viewport
-        self.ox = margin + 0.5 * ((self.w - 2 * margin) - sx * spanx) - sx * x0
-        self.oy = self.h - margin - 0.5 * ((self.h - 2 * margin) - sy * spany) \
+        self.ox = MARGIN + 0.5 * ((self.w - 2 * MARGIN) - sx * spanx) - sx * x0
+        self.oy = self.h - MARGIN - 0.5 * ((self.h - 2 * MARGIN) - sy * spany) \
             + sy * y0
 
     def map(self, xy) -> np.ndarray:
@@ -110,14 +114,14 @@ def _pad(lo: float, hi: float, frac: float = 0.05) -> tuple[float, float]:
     return lo - frac * span, hi + frac * span
 
 
-def svg_function_plot(xs, ys_list, size=(720, 480), margin: float = 42.0) -> str:
+def svg_function_plot(xs, ys_list) -> str:
     """Graphs of several functions over a shared abscissa."""
     xs = np.asarray(xs, dtype=float)
     ys_list = [np.asarray(y, dtype=float) for y in ys_list]
     ymin = min(float(y.min()) for y in ys_list)
     ymax = max(float(y.max()) for y in ys_list)
     vp = _Viewport(_pad(float(xs[0]), float(xs[-1])), _pad(ymin, ymax),
-                   size, margin, equal=False)
+                   FUNCTION_SIZE, equal=False)
     body = []
     # axis lines at y = 0 and the domain ends
     if ymin <= 0.0 <= ymax:
@@ -126,11 +130,10 @@ def svg_function_plot(xs, ys_list, size=(720, 480), margin: float = 42.0) -> str
                       [(xs[0], ymax), (xs[-1], ymax)], "#cccccc", 0.8)
     for i, y in enumerate(ys_list):
         body.append(_polyline(vp, np.column_stack([xs, y]), _color(i)))
-    return _document(size, body)
+    return _document(FUNCTION_SIZE, body)
 
 
-def svg_curve_plot(curves, combs=None, size=(720, 720),
-                   margin: float = 42.0) -> str:
+def svg_curve_plot(curves, combs=None) -> str:
     """Planar parametric curves at equal scales, with optional combs.
 
     curves: list of (n, 2) arrays.  combs: list of (base, tip) pairs of
@@ -141,14 +144,14 @@ def svg_curve_plot(curves, combs=None, size=(720, 720),
     allp = np.vstack(pools)
     vp = _Viewport(_pad(float(allp[:, 0].min()), float(allp[:, 0].max())),
                    _pad(float(allp[:, 1].min()), float(allp[:, 1].max())),
-                   size, margin, equal=True)
+                   CURVE_SIZE, equal=True)
     body = []
     for base, tips in (combs or []):
         body += _segments(vp, base, tips, "#b0c4de", 0.6)
         body.append(_polyline(vp, tips, "#b0c4de", 0.8))
     for i, c in enumerate(curves):
         body.append(_polyline(vp, c, _color(i), 2.0))
-    return _document(size, body)
+    return _document(CURVE_SIZE, body)
 
 
 def write_svg(path, text: str) -> None:
@@ -160,11 +163,11 @@ def write_svg(path, text: str) -> None:
 # curvature comb
 # ---------------------------------------------------------------------------
 
-def curvature_comb(points, d1, d2, frac: float = 0.15):
+def curvature_comb(points, d1, d2):
     """Comb whiskers for a planar curve from its first two derivatives.
 
     Whisker length is the signed curvature scaled so the longest one is
-    frac times the bounding-box diagonal.  Returns (base, tips).
+    COMB_FRAC times the bounding-box diagonal.  Returns (base, tips).
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(d1, dtype=float)
@@ -176,6 +179,6 @@ def curvature_comb(points, d1, d2, frac: float = 0.15):
     span = p.max(axis=0) - p.min(axis=0)
     diag = float(np.hypot(span[0], span[1]))
     kmax = float(np.abs(kappa).max())
-    scale = frac * (diag if diag > 0 else 1.0) / (kmax if kmax > 0 else 1.0)
+    scale = COMB_FRAC * (diag if diag > 0 else 1.0) / (kmax if kmax > 0 else 1.0)
     tips = p - normal * (kappa * scale)[:, None]
     return p, tips

@@ -66,9 +66,6 @@ class ExtendedPartition:
                 out.append(self.multiplicity_of(float(x)))
         return out
 
-    def breakpoints(self) -> np.ndarray:
-        return self.grid.copy()
-
 
 def _interval_index(grid: np.ndarray, x, side: str = "right", lo=None, hi=None):
     """0-based index j of the grid interval [g_j, g_{j+1}] holding x (a

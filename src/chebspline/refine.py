@@ -11,6 +11,7 @@ least-squares inverse.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ from .partition import (_interval_index, build_extended_partition,
                         partition_from_knots)
 from .sections import ECSection, make_section, merge_sections, split_section
 from .transition import TransitionTable, _assemble_table, _end_order
+
+DEVIATION_SAMPLES = 1000    # uniform samples behind max_deviation
+REMOVAL_TOL = 1e-9          # relative residual above which a knot is needed
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +39,6 @@ class RefinementStep:
     mult: int                   # multiplicity of that after insertion
     alphas: np.ndarray          # alpha_i for i = 1..new dim
     space: SplineSpace          # the refined space
-    formula: str                # "left" | "right"
-    strategy: str
 
 
 def _snap_to_grid(grid: np.ndarray, that: float) -> tuple[int | None, float]:
@@ -156,7 +158,7 @@ def _insert(space: SplineSpace, spline: Spline, that: float,
     new_space, ell, mult = refine_space_structure(space, that, strategy)
     alphas = _compute_alphas(space.table, new_space.table, that, ell, mult,
                              formula)
-    step = RefinementStep(that, ell, mult, alphas, new_space, formula, strategy)
+    step = RefinementStep(that, ell, mult, alphas, new_space)
     return step, Spline(new_space, _apply_alphas(alphas, spline.coefficients))
 
 
@@ -168,8 +170,8 @@ def insert_knot(space: SplineSpace, spline: Spline, that: float,
     return _insert(space, spline, that, strategy, "left")
 
 
-def insert_knot_right(space: SplineSpace, spline: Spline, that: float,
-                      strategy: str = "restrict") -> tuple[RefinementStep, Spline]:
+def insert_knot_right(space: SplineSpace, spline: Spline, that: float
+                      ) -> tuple[RefinementStep, Spline]:
     """Knot insertion with alpha from right-endpoint derivatives.
 
     Equivalent to insert_knot where both apply; also valid for that >= b on
@@ -177,14 +179,14 @@ def insert_knot_right(space: SplineSpace, spline: Spline, that: float,
     """
     if that < space.a:
         raise RefinementError(f"{that} below the domain start {space.a}")
-    return _insert(space, spline, that, strategy, "right")
+    return _insert(space, spline, that, "restrict", "right")
 
 
-def max_deviation(s1: Spline, s2: Spline, samples: int = 1000) -> float:
+def max_deviation(s1: Spline, s2: Spline) -> float:
     """Max componentwise difference over uniform samples of the common domain."""
     a = max(s1.space.a, s2.space.a)
     b = min(s1.space.b, s2.space.b)
-    xs = np.linspace(a, b, samples)
+    xs = np.linspace(a, b, DEVIATION_SAMPLES)
     return float(np.abs(sample_spline(s1, xs) - sample_spline(s2, xs)).max())
 
 
@@ -196,20 +198,18 @@ def max_deviation(s1: Spline, s2: Spline, samples: int = 1000) -> float:
 class BezierSegments:
     space: SplineSpace          # the multiplicity-(m-1) space
     spline: Spline
-    sections: tuple[ECSection, ...]
     controls: tuple[np.ndarray, ...]   # per segment, (m, d) Bernstein points
-    steps: tuple[RefinementStep, ...]
 
 
-def to_bezier_segments(space: SplineSpace, spline: Spline,
-                       strategy: str = "restrict") -> BezierSegments:
+def to_bezier_segments(space: SplineSpace, spline: Spline) -> BezierSegments:
     """Raise every interior break point to multiplicity m-1.
 
-    Afterwards each section carries its own Bernstein representation: the m
-    global B-splines alive on a segment restrict to the section's Bernstein
-    basis, so consecutive windows of the coefficient sequence (overlapping by
-    one point, C0 joins) are the per-segment control points.  That needs
-    clamped ends: a wrap-around spline raises RefinementError.
+    Knots go only on existing break points, so no section is split: the
+    result keeps the source's grid and section objects.  The m B-splines
+    alive on a segment restrict to its section's Bernstein basis, so
+    consecutive windows of the coefficients (overlapping by one point, C0
+    joins) are the per-segment control points.  That needs clamped ends: a
+    wrap-around spline raises RefinementError.
     """
     m = space.order
     part = space.partition
@@ -218,17 +218,14 @@ def to_bezier_segments(space: SplineSpace, spline: Spline,
             f"Bezier extraction needs {m} knots at a and at b; convert a "
             f"wrap-around spline with periodic_to_clamped first")
     cur_space, cur = space, spline
-    steps = []
     for x in part.grid[1:-1]:          # clamped: every one lies in (a, b)
         while cur_space.partition.multiplicity_of(float(x)) < m - 1:
-            step, cur = insert_knot(cur_space, cur, float(x), strategy)
+            step, cur = insert_knot(cur_space, cur, float(x))
             cur_space = step.space
-            steps.append(step)
     c = cur.coefficients
     ctrls = tuple(c[j * (m - 1):j * (m - 1) + m].copy()
                   for j in range(len(cur_space.sections)))
-    return BezierSegments(cur_space, cur, tuple(cur_space.sections), ctrls,
-                          tuple(steps))
+    return BezierSegments(cur_space, cur, ctrls)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,6 @@ def to_bezier_segments(space: SplineSpace, spline: Spline,
 
 @dataclass(frozen=True)
 class ElevationStep:
-    r: int
     gammas: tuple[np.ndarray, ...]       # per segment, gamma_0..gamma_{n+r}
     deltas: tuple[np.ndarray, ...] | None  # r=2: per segment, delta_1..delta_{n+2}
     targets: tuple[ECSection, ...]
@@ -350,8 +346,7 @@ def _elevate_controls(c: np.ndarray, gam: np.ndarray,
 
 
 def elevate_order(space: SplineSpace, spline: Spline, r: int,
-                  target_families=None, *, strategy: str = "restrict"
-                  ) -> tuple[ElevationStep, Spline]:
+                  target_families=None) -> tuple[ElevationStep, Spline]:
     """Raise the order of every section by r (1 or 2).
 
     Pipeline: Bezier-extract, elevate each segment within a containing
@@ -361,24 +356,29 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
     if r not in (1, 2):
         raise RefinementError("elevation amount must be 1 or 2")
     m = space.order
-    bez = to_bezier_segments(space, spline, strategy)
-    nseg = len(bez.sections)
+    bez = to_bezier_segments(space, spline)
+    sections = bez.space.sections
+    nseg = len(sections)
     if target_families is None:
-        targets = [_default_target(s, r) for s in bez.sections]
+        targets = [_default_target(s, r) for s in sections]
     else:
         specs = (list(target_families) if isinstance(target_families, (list, tuple))
                  else [target_families] * nseg)
         if len(specs) != nseg:
             raise RefinementError(
                 f"need {nseg} target families (one per segment), got {len(specs)}")
+        for j, sp in enumerate(specs):
+            if not (isinstance(sp, Mapping) and "family" in sp):
+                raise RefinementError(f"segment {j}: target family {sp!r} is "
+                                      "not a mapping with a 'family' key")
         targets = [make_section(sp["family"], sp.get("params"), s.interval,
                                 m + r, sp.get("local_map"))
-                   for sp, s in zip(specs, bez.sections)]
+                   for sp, s in zip(specs, sections)]
     grid = bez.space.partition.grid
     glued_part = build_extended_partition(grid, [m + r - 1] * (len(grid) - 2), m + r)
     glued_space = make_spline_space(glued_part, targets)
     gammas, deltas, elevated = [], [], []
-    for j, (src, dst, ctrl) in enumerate(zip(bez.sections, targets, bez.controls)):
+    for j, (src, dst, ctrl) in enumerate(zip(sections, targets, bez.controls)):
         _check_containment(src, dst)
         gam, delta = _segment_gamma_delta(bez.space.table, glued_space.table, j, r)
         gammas.append(gam)
@@ -401,7 +401,7 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
         while cur_space.partition.multiplicity_of(float(x)) > target_mult:
             cur_space, cur, resid = remove_knot(cur_space, cur, float(x))
             residuals.append(resid)
-    step = ElevationStep(r, tuple(gammas),
+    step = ElevationStep(tuple(gammas),
                          None if r == 1 else tuple(deltas),
                          tuple(targets), tuple(residuals))
     return step, cur
@@ -411,8 +411,8 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
 # knot removal
 # ---------------------------------------------------------------------------
 
-def remove_knot(space: SplineSpace, spline: Spline, that: float,
-                tolerance: float = 1e-9) -> tuple[SplineSpace, Spline, float]:
+def remove_knot(space: SplineSpace, spline: Spline, that: float
+                ) -> tuple[SplineSpace, Spline, float]:
     """Remove one copy of an interior knot, exactly when representable.
 
     Inverts the insertion relation by least squares on the bidiagonal system
@@ -451,10 +451,10 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float,
     c, *_ = np.linalg.lstsq(B, chat, rcond=None)
     resid = float(np.abs(B @ c - chat).max())
     scale = max(1.0, float(np.abs(chat).max()))
-    if resid > tolerance * scale:
+    if resid > REMOVAL_TOL * scale:
         raise KnotRemovalError(
             f"removing {that} leaves residual {resid:.3e} > "
-            f"{tolerance:.1e}*{scale:.3g}; the spline needs this knot",
+            f"{REMOVAL_TOL:.1e}*{scale:.3g}; the spline needs this knot",
             residual=resid)
     return coarse_space, Spline(coarse_space, c), resid
 

@@ -197,7 +197,7 @@ def test_06_order_elevation():
     for name in ("trig_m3_open_curve", "trig_m4_open_curve"):
         spline = load_object(DESCRIPTORS / f"{name}.json")
         mults = {float(x): spline.space.partition.multiplicity_of(float(x))
-                 for x in spline.space.partition.breakpoints()[1:-1]}
+                 for x in spline.space.partition.grid[1:-1]}
         _, out = elevate_order(spline.space, spline, 2)
         assert out.space.order == spline.space.order + 2
         for x, mu in mults.items():

@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 
 import chebspline
+from chebspline.cli import main
 
 PUBLIC = [
     "BezierSegments", "ChebsplineError", "ConnectionMatrixError",
@@ -46,10 +47,9 @@ def test_public_names_are_pinned():
 FIELDS = {
     "TransitionRow": ["kind", "start", "stop", "pieces"],
     "RowReport": ["size", "condition", "residual"],
-    "RefinementStep": ["that", "ell", "mult", "alphas", "space", "formula",
-                       "strategy"],
-    "ElevationStep": ["r", "gammas", "deltas", "targets", "removal_residuals"],
-    "BezierSegments": ["space", "spline", "sections", "controls", "steps"],
+    "RefinementStep": ["that", "ell", "mult", "alphas", "space"],
+    "ElevationStep": ["gammas", "deltas", "targets", "removal_residuals"],
+    "BezierSegments": ["space", "spline", "controls"],
     "QECProfile": ["kbar_right", "kbar_left"],
     "ExtendedPartition": ["order", "knots", "grid", "a", "b"],
     "ECSection": ["family", "params", "interval", "order", "local_map",
@@ -73,11 +73,10 @@ PARAMETERS = {
     "build_transition_table": "space",
     "closed_form_space": "case, knots, param",
     "csv_text": "header, columns",
-    "curvature_comb": "points, d1, d2, frac=0.15",
+    "curvature_comb": "points, d1, d2",
     "descriptor_for": "obj",
     "detect_vanishing_order": "table, i, side='left'",
-    "elevate_order":
-        "space, spline, r, target_families=None, *, strategy='restrict'",
+    "elevate_order": "space, spline, r, target_families=None",
     "eval_bspline": "space, i, x, r=0, side='right'",
     "eval_closed_n4": "case, knots, param, i, x",
     "eval_nonzero_basis": "space, x, r=0, side='right'",
@@ -85,7 +84,7 @@ PARAMETERS = {
     "eval_spline_derivative": "spline, r, x, side='right'",
     "eval_surface": "surface, u, v",
     "insert_knot": "space, spline, that, strategy='restrict'",
-    "insert_knot_right": "space, spline, that, strategy='restrict'",
+    "insert_knot_right": "space, spline, that",
     "integrate_spline": "spline, x0, x1",
     "load_descriptor": "path",
     "load_object": "path",
@@ -93,14 +92,14 @@ PARAMETERS = {
     "make_section":
         "family, params, interval, order, local_map=None, *, anchor=None, scale=None",
     "make_spline_space": "partition, sections, connections=None",
-    "max_deviation": "s1, s2, samples=1000",
+    "max_deviation": "s1, s2",
     "merge_sections": "left, right",
     "object_from_descriptor": "d",
     "one_section_space": "section",
     "partition_from_knots": "order, knots, grid=None",
     "periodic_to_clamped": "space, spline",
     "qec_profile": "table",
-    "remove_knot": "space, spline, that, tolerance=1e-09",
+    "remove_knot": "space, spline, that",
     "sample_basis": "space, xs",
     "sample_multiorder_basis": "space, xs",
     "sample_spline": "spline, xs, r=0",
@@ -113,10 +112,10 @@ PARAMETERS = {
     "split_section": "section, xhat, strategy='restrict'",
     "surface_from_descriptor": "d, where='surface'",
     "surface_to_descriptor": "surface",
-    "svg_curve_plot": "curves, combs=None, size=(720, 720), margin=42.0",
-    "svg_function_plot": "xs, ys_list, size=(720, 480), margin=42.0",
+    "svg_curve_plot": "curves, combs=None",
+    "svg_function_plot": "xs, ys_list",
     "tile_periodic_coefficients": "space, free_coeffs",
-    "to_bezier_segments": "space, spline, strategy='restrict'",
+    "to_bezier_segments": "space, spline",
     "validate_connection_matrix": "M, order",
     "write_csv": "path, header, columns",
     "write_svg": "path, text",
@@ -134,3 +133,28 @@ def test_public_parameters_are_pinned():
                 p.replace(annotation=blank) for p in sig.parameters.values()])
             got[name] = str(sig)[1:-1]
     assert got == PARAMETERS
+
+
+# every command's options, in order: a required one by name, an optional
+# one with its default
+OPTIONS = {
+    "basis": "--input, --output, --samples=1000, --format='csv'",
+    "bezier": "--input, --output",
+    "clamp": "--input, --output",
+    "elevate": "--input, --output, --r=1",
+    "eval": "--input, --output, --samples=1000, --format='csv', "
+            "--comb/--no-comb=False",
+    "insert": "--input, --output, --at, --strategy='restrict'",
+    "kref-demo": "--output, --samples=1000, --format='csv'",
+    "surface": "--input, --output, --samples=40, --format='csv', "
+               "--isolines=9",
+}
+
+
+def test_cli_options_are_pinned():
+    got = {}
+    for name, cmd in main.commands.items():
+        opts = ["/".join(p.opts + p.secondary_opts) for p in cmd.params]
+        got[name] = ", ".join(o if p.required else f"{o}={p.default!r}"
+                              for o, p in zip(opts, cmd.params))
+    assert got == OPTIONS

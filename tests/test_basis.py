@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,8 @@ from chebspline import (Spline, bernstein_basis, build_extended_partition,
                         eval_bspline, eval_nonzero_basis, eval_spline,
                         eval_spline_derivative, eval_surface, integrate_spline,
                         load_object, make_section, make_spline_space,
-                        one_section_space, sample_basis, sample_spline)
+                        one_section_space, sample_basis, sample_spline,
+                        sample_transitions)
 from chebspline.basis import TensorSurface
 from chebspline.errors import PartitionError
 from conftest import DESCRIPTORS
@@ -113,6 +116,23 @@ def test_integral_outside_the_domain_raises_as_evaluation_does(x0, x1):
     with pytest.raises(PartitionError) as integrated:
         integrate_spline(spline, x0, x1)
     assert str(integrated.value) == str(evaluated.value)
+
+
+def test_reversed_integration_bounds_raise():
+    spline = Spline(polynomial_space([0.0, 1.0], [], 3), np.ones((3, 1)))
+    with pytest.raises(PartitionError, match="x0 <= x1"):
+        integrate_spline(spline, 0.6, 0.2)
+
+
+@pytest.mark.parametrize("sample", [
+    sample_basis, sample_transitions,
+    lambda space, xs: sample_spline(Spline(space, np.ones((space.dim, 1))), xs)])
+@pytest.mark.parametrize("xs", [np.full((3, 2), 0.5), np.float64(0.5)])
+def test_samplers_reject_points_that_are_not_1d(sample, xs):
+    space = polynomial_space([0.0, 0.5, 1.0], [1], 3)
+    with pytest.raises(PartitionError,
+                       match=re.escape(f"1-D array, not shape {xs.shape}")):
+        sample(space, xs)
 
 
 def test_integral_reads_only_the_rows_alive_on_the_bounds(monkeypatch):
@@ -265,6 +285,13 @@ def test_support_is_exact_zero_outside():
         for x in np.linspace(0.0, 1.0, 41):
             if x < lo or x > hi:
                 assert eval_bspline(space, i, x) == 0.0
+
+
+@pytest.mark.parametrize("i", [0, 6])
+def test_support_index_out_of_range_raises(i):
+    space = polynomial_space([0.0, 0.2, 0.5, 1.0], [1, 1], 3)
+    with pytest.raises(PartitionError, match=f"basis index {i} out of range 1..5"):
+        space.support(i)
 
 
 def test_surface_constant_net():

@@ -155,7 +155,7 @@ def test_bezier(tmp_path):
     after = load_object(out)
     part = after.space.partition
     m = part.order
-    for x in part.breakpoints()[1:-1]:
+    for x in part.grid[1:-1]:
         assert part.multiplicity_of(float(x)) == m - 1
 
 

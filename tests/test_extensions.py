@@ -8,6 +8,7 @@ from chebspline import (Spline, build_extended_partition,
                         eval_bspline, eval_spline_derivative, insert_knot,
                         make_section, make_spline_space, qec_profile,
                         sample_basis, sample_spline)
+from chebspline.errors import PartitionError
 from conftest import assert_same_table
 
 
@@ -172,6 +173,14 @@ def test_multiorder_support():
         for x in np.linspace(0.0, 5.0, 101):
             if x < lo - 1e-12 or x > hi + 1e-12:
                 assert eval_bspline(mo, i, x) == 0.0
+
+
+def test_multiorder_support_index_out_of_range_raises():
+    mo = build_multiorder_space(multi_order_sections(), [1, 1, 1, 1])
+    for i in (0, mo.dim + 1):
+        with pytest.raises(PartitionError,
+                           match=f"basis index {i} out of range 1..{mo.dim}"):
+            mo.support(i)
 
 
 def test_vanishing_order_ec_case():

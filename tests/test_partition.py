@@ -70,7 +70,7 @@ def test_end_multiplicities_are_the_runs():
 
 def test_round_trip():
     part = mixed_partition()
-    again = build_extended_partition(part.breakpoints(),
+    again = build_extended_partition(part.grid,
                                      part.interior_multiplicities(),
                                      part.order)
     assert_allclose(again.knots, part.knots)

@@ -196,7 +196,7 @@ def test_remove_reports_failure():
     rng = np.random.default_rng(13)
     spline = random_spline(space, rng)          # genuinely kinked at 1
     with pytest.raises(KnotRemovalError):
-        remove_knot(space, spline, 1.0, tolerance=1e-9)
+        remove_knot(space, spline, 1.0)
 
 
 def test_remove_knot_refusals():
@@ -305,9 +305,13 @@ def refined_spaces(name, spline):
             yield insert_knot(space, spline, float(x))[0].space
     yield insert_knot_right(space, spline, x_new)[0].space
     yield remove_knot(step.space, fine, x_new)[0]
-    bez = to_bezier_segments(*periodic_to_clamped(space, spline))
-    yield bez.space
-    yield from (s.space for s in bez.steps)
+    clamped = periodic_to_clamped(space, spline)[1]
+    yield to_bezier_segments(clamped.space, clamped).space
+    # the spaces Bezier extraction passes through
+    for x in clamped.space.partition.grid[1:-1]:
+        while clamped.space.partition.multiplicity_of(float(x)) < m - 1:
+            clamped = insert_knot(clamped.space, clamped, float(x))[1]
+            yield clamped.space
     if name in ELEVATES:
         yield elevate_order(space, spline, 1)[1].space
     if part.multiplicity_of(space.a) < m or part.multiplicity_of(space.b) < m:
@@ -437,6 +441,55 @@ def test_elevation_gammas_are_the_one_section_ones(path, r, monkeypatch):
         assert step.deltas is None if r == 1 else \
             [d.tobytes() for d in step.deltas] == \
             [delta.tobytes() for _, _, (_, delta) in seen]
+
+
+def generated_mixed_spline(m=4, q=6):
+    """Sections of four families on [0, 1], interior multiplicities 0..m-1."""
+    rng = np.random.default_rng(23)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, q)), [1.0]])
+    part = build_extended_partition(grid, rng.integers(0, m, q), m)
+    families = [("polynomial", None), ("trigonometric", {"theta": 2.0}),
+                ("hyperbolic", {"phi": 1.5}),
+                ("variable-degree", {"n1": 4, "n2": 5})]
+    secs = [make_section(*families[k], (grid[j], grid[j + 1]), m)
+            for j, k in enumerate(rng.integers(0, len(families), q + 1))]
+    return random_spline(make_spline_space(part, secs), rng)
+
+
+@pytest.mark.parametrize("spline", [
+    *(pytest.param(load_object(p.values[0]), id=p.id) for p in SPLINES),
+    pytest.param(generated_mixed_spline(), id="generated_mixed")])
+def test_bezier_extraction_keeps_the_grid_and_the_sections(spline):
+    # knots go only on break points, so no section is split or replaced
+    space, spline = periodic_to_clamped(spline.space, spline)
+    bez = to_bezier_segments(space, spline)
+    assert_array_equal(bez.space.partition.grid, space.partition.grid)
+    assert len(bez.space.sections) == len(space.sections) == len(bez.controls)
+    assert all(new is old for new, old in zip(bez.space.sections,
+                                              space.sections))
+
+
+def test_elevation_into_given_target_families():
+    spline = load_object(DESCRIPTORS / "trig_m3_open_curve.json")
+    family = {"family": "trig-envelope", "params": {"theta": 2.0}}
+    outs = []
+    for targets in (family, [family] * len(spline.space.sections)):
+        step, out = elevate_order(spline.space, spline, 2, targets)
+        assert [(t.family, t.order) for t in step.targets] == \
+            [("trig-envelope", 5)] * len(spline.space.sections)
+        assert max_deviation(spline, out) < 1e-12
+        outs.append(out.coefficients.tobytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("targets, segment", [
+    ("trig-envelope", 0), (3, 0), ({"params": {"theta": 2.0}}, 0),
+    ([{"family": "trig-envelope"}, "trig-envelope", None], 1)])
+def test_target_families_entries_must_name_a_family(targets, segment):
+    spline = load_object(DESCRIPTORS / "trig_m3_open_curve.json")
+    with pytest.raises(RefinementError, match=f"segment {segment}: .* is not "
+                                              "a mapping with a 'family' key"):
+        elevate_order(spline.space, spline, 2, targets)
 
 
 def test_target_that_misses_the_source_raises():
