@@ -10,7 +10,7 @@ from .basis import (Spline, SplineSpace, TensorSurface, bernstein_basis,
                     eval_bspline, eval_nonzero_basis, eval_spline,
                     eval_spline_derivative, eval_surface, integrate_spline,
                     make_spline_space, one_section_space, sample_basis,
-                    sample_spline, sample_transitions)
+                    sample_spline, sample_surface, sample_transitions)
 from .closedform import closed_form_space, eval_closed_n4
 from .descriptors import (descriptor_for, load_descriptor, load_object,
                           object_from_descriptor, save_descriptor,

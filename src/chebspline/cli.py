@@ -15,7 +15,7 @@ import numpy as np
 
 from . import descriptors as dsc
 from .basis import (Spline, SplineSpace, TensorSurface, sample_basis,
-                    sample_spline, sample_transitions)
+                    sample_spline, sample_surface, sample_transitions)
 from .errors import ChebsplineError, DescriptorError
 from .extensions import MultiOrderSpace
 from .output import (curvature_comb, svg_curve_plot, svg_function_plot,
@@ -281,22 +281,17 @@ def surface_cmd(input_path, output_path, samples, fmt, isolines):
     vs = np.linspace(surf.v_space.a, surf.v_space.b, samples)
     out = _artifact(output_path, fmt)
     d = surf.net.shape[2]
-
-    def grid(us, vs):
-        """Surface values on us x vs: two basis matrices and one einsum."""
-        return np.einsum("ui,vj,ijd->uvd", sample_basis(surf.u_space, us),
-                         sample_basis(surf.v_space, vs), surf.net,
-                         optimize=True)
-
     if fmt == "csv":
-        rows = grid(us, vs).reshape(-1, d)
+        rows = sample_surface(surf, us, vs).reshape(-1, d)
         uu = np.repeat(us, len(vs))
         vv = np.tile(vs, len(us))
         write_csv(out, ["u", "v"] + _coord_names(d),
                   [uu, vv] + [rows[:, j] for j in range(d)])
     else:
-        u_lines = grid(np.linspace(surf.u_space.a, surf.u_space.b, isolines), vs)
-        v_lines = grid(us, np.linspace(surf.v_space.a, surf.v_space.b, isolines))
+        u_lines = sample_surface(
+            surf, np.linspace(surf.u_space.a, surf.u_space.b, isolines), vs)
+        v_lines = sample_surface(
+            surf, us, np.linspace(surf.v_space.a, surf.v_space.b, isolines))
         curves = list(u_lines[:, :, :2]) + list(v_lines.transpose(1, 0, 2)[:, :, :2])
         write_svg(out, svg_curve_plot(curves))
     click.echo(f"wrote {out} ({samples}x{samples} samples)")

@@ -67,21 +67,19 @@ class ExtendedPartition:
         return out
 
 
-def _interval_index(grid: np.ndarray, x, side: str = "right", lo=None, hi=None):
-    """0-based index j of the grid interval [g_j, g_{j+1}] holding x (a
-    number or an array): [g_j, g_{j+1}) for side="right", (g_j, g_{j+1}]
+def _interval_index(grid: np.ndarray, xs: np.ndarray, side: str = "right",
+                    lo=None, hi=None) -> np.ndarray:
+    """0-based index j of the grid interval [g_j, g_{j+1}] holding each
+    point of the array xs: [g_j, g_{j+1}) for side="right", (g_j, g_{j+1}]
     for side="left".  Only the intervals inside [lo, hi] (both grid points,
     or neither given for the whole grid) are read, so x = lo reads the first
     of them and x = hi the last whatever side says; x outside [lo, hi]
-    raises."""
+    raises.  TransitionTable._interval reads one point by the same rule."""
     first, last = (0, len(grid) - 1) if lo is None else grid.searchsorted((lo, hi))
-    scalar = np.ndim(x) == 0   # a single point skips numpy's reductions
-    if not (grid[first] <= x <= grid[last] if scalar
-            else np.logical_and(grid[first] <= x, x <= grid[last]).all()):
+    if not np.logical_and(grid[first] <= xs, xs <= grid[last]).all():
         raise PartitionError(
             f"evaluation point outside [{grid[first]}, {grid[last]}]")
-    j = grid.searchsorted(x, side) - 1
-    return min(max(int(j), first), last - 1) if scalar else np.clip(j, first, last - 1)
+    return np.clip(grid.searchsorted(xs, side) - 1, first, last - 1)
 
 
 def build_extended_partition(breakpoints, multiplicities, order: int) -> ExtendedPartition:

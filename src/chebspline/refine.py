@@ -19,8 +19,7 @@ import numpy as np
 from .basis import (Spline, SplineSpace, _row_values, make_spline_space,
                     sample_spline)
 from .errors import KnotRemovalError, RefinementError
-from .partition import (_interval_index, build_extended_partition,
-                        partition_from_knots)
+from .partition import build_extended_partition, partition_from_knots
 from .sections import ECSection, make_section, merge_sections, split_section
 from .transition import TransitionTable, _assemble_table, _end_order
 
@@ -75,7 +74,7 @@ def refine_space_structure(space: SplineSpace, that: float,
     grid = part.grid
     sections = list(space.sections)
     if hit is None:
-        j0 = _interval_index(grid, that, "right")
+        j0 = int(grid.searchsorted(that)) - 1    # that is no grid point
         sections[j0:j0 + 1] = split_section(sections[j0], that, strategy)
         grid = np.insert(grid, j0 + 1, that)
     k = m - mult     # rows of a matrix at that; none once that reaches m
@@ -153,6 +152,15 @@ def _apply_alphas(alphas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
             + np.where(a != 1.0, (1.0 - a) * prev, 0.0))
 
 
+def _same_space(space: SplineSpace, spline: Spline) -> None:
+    """Raise unless spline lives on space: the structure comes from space
+    and the coefficients from spline, so any other space would give a
+    plausible but wrong spline."""
+    if space is not spline.space:
+        raise RefinementError("the spline does not live on the given space; "
+                              "pass spline.space")
+
+
 def _insert(space: SplineSpace, spline: Spline, that: float,
             strategy: str, formula: str) -> tuple[RefinementStep, Spline]:
     new_space, ell, mult = refine_space_structure(space, that, strategy)
@@ -165,6 +173,7 @@ def _insert(space: SplineSpace, spline: Spline, that: float,
 def insert_knot(space: SplineSpace, spline: Spline, that: float,
                 strategy: str = "restrict") -> tuple[RefinementStep, Spline]:
     """Insert a knot at that (a <= that <= b), left-endpoint derivative form."""
+    _same_space(space, spline)
     if not space.a <= that <= space.b:
         raise RefinementError(f"{that} outside [{space.a}, {space.b}]")
     return _insert(space, spline, that, strategy, "left")
@@ -177,6 +186,7 @@ def insert_knot_right(space: SplineSpace, spline: Spline, that: float
     Equivalent to insert_knot where both apply; also valid for that >= b on
     partitions whose trailing knots are not yet coincident.
     """
+    _same_space(space, spline)
     if that < space.a:
         raise RefinementError(f"{that} below the domain start {space.a}")
     return _insert(space, spline, that, "restrict", "right")
@@ -211,6 +221,7 @@ def to_bezier_segments(space: SplineSpace, spline: Spline) -> BezierSegments:
     joins) are the per-segment control points.  That needs clamped ends: a
     wrap-around spline raises RefinementError.
     """
+    _same_space(space, spline)
     m = space.order
     part = space.partition
     if part.multiplicity_of(part.a) < m or part.multiplicity_of(part.b) < m:
@@ -356,7 +367,7 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
     if r not in (1, 2):
         raise RefinementError("elevation amount must be 1 or 2")
     m = space.order
-    bez = to_bezier_segments(space, spline)
+    bez = to_bezier_segments(space, spline)     # checks the pair
     sections = bez.space.sections
     nseg = len(sections)
     if target_families is None:
@@ -421,6 +432,7 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float
     copy goes, adjacent restrict-split siblings are merged back; otherwise
     the break point stays in the grid with multiplicity zero.
     """
+    _same_space(space, spline)
     part = space.partition
     hit, that = _snap_to_grid(part.grid, that)
     if hit is None or not (space.a < that < space.b):
@@ -515,6 +527,7 @@ def periodic_to_clamped(space: SplineSpace, spline: Spline
     right formula at b), then drops the basis functions whose support misses
     (a, b) together with the now-redundant outer knots and sections.
     """
+    _same_space(space, spline)
     part = space.partition
     m = part.order
     a, b = part.a, part.b

@@ -33,14 +33,20 @@ _HALF_PI = 0.5 * math.pi
 # broadcasts against a t of shape (S, 2) (both ends of S sections); its
 # powers are Python float powers either way (_pow).  Every element of t is
 # a point on its own: its values do not depend on the shape of t, so
-# batched and single-point evaluation agree bit for bit.  Products, sums
-# and elementary functions of t[()], the value of a 0-d t, round exactly as
-# on a t of any shape, and cost a fraction of it.  Powers do not: numpy's
-# array power loop and the pow of one float64 differ in the last bit for a
-# few per cent of bases.  Powers of t take the array t and keep a Python
-# int or float exponent (so that t**2 is numpy's square, as at one point);
-# the mirror power (1-t)**e, which is one float64 at one point, is one
-# float64 pow per point everywhere (_scalar_pow).
+# batched and single-point evaluation agree bit for bit.  At one point
+# only the plumbing is shorter (_jet_rows builds the rows straight from
+# the values); the arithmetic is the same numpy calls.  Products, sums and
+# numpy's elementary functions (np.cos, np.cosh, np.sinh) of t[()], the
+# value of a 0-d t, round exactly as on a t of any shape, and cost a
+# fraction of it.  Their math-module twins need not: math.cosh and
+# math.sinh differ from numpy's in the last bit on about a fifth of
+# arguments, so none is used.  Nor are powers of t[()]: numpy's array
+# power loop (which a 0-d array takes) and the pow of one float64 (numpy's
+# or Python's) differ in the last bit for a few per cent of bases.  Powers
+# of t take the array t and keep a Python int or float exponent (so that
+# t**2 is numpy's square, as at one point); the mirror power (1-t)**e,
+# which is one float64 at one point, is one float64 pow per point
+# everywhere (_scalar_pow).
 
 
 def _pow(p, r: int):
@@ -64,12 +70,14 @@ class Monomials:
         self.count = count
 
     def jet(self, R: int, t, lo: int = 0) -> list:
-        zero = np.zeros_like(t) if R else None
+        powers = [t ** p for p in range(self.count - lo)]   # each pow once
+        zero = np.zeros(t.shape) if R else None
         cols = []
         for k in range(self.count):
             col = []
             for r in range(lo, R + 1):
-                col.append(math.perm(k, r) * t ** (k - r) if r <= k else zero)
+                col.append(zero if r > k else powers[k] if r == 0
+                           else math.perm(k, r) * powers[k - r])
             cols.append(col)
         return cols
 
@@ -463,7 +471,10 @@ class ECSection:
         return self._rows(r, r, x)[0]
 
     def _rows(self, lo: int, R: int, x) -> np.ndarray:
-        t = np.asarray(self.to_local(x))   # a 0-d array at one point
+        if type(x) is float:    # one point: to_local's two float64 operations
+            t = np.array((x - self.anchor) * self.scale)
+        else:
+            t = np.asarray(self.to_local(x))   # a 0-d array at one point
         return _jet_rows(self._blocks, self.scale, lo, R, t)
 
     def integral_all(self, x) -> np.ndarray:
@@ -497,11 +508,14 @@ def _jet_rows(blocks, scale, lo: int, R: int, t) -> np.ndarray:
     cols = []
     for block in blocks:
         cols += block.jet(R, t, lo)
-    J = np.array(cols, dtype=float).swapaxes(0, 1)
-    if R:                           # D^r picks up scale**r; rows contiguous
-        J = np.ascontiguousarray(J)
-        for r in range(max(lo, 1), R + 1):
-            J[r - lo] *= _pow(scale, r)
+    if t.ndim == 0:                 # one point: the rows straight from the values
+        J = np.array(list(zip(*cols)), dtype=float)
+    else:
+        J = np.array(cols, dtype=float).swapaxes(0, 1)
+        if R:                       # rows contiguous
+            J = np.ascontiguousarray(J)
+    for r in range(max(lo, 1), R + 1):  # D^r picks up scale**r
+        J[r - lo] *= _pow(scale, r)
     return J
 
 

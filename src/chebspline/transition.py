@@ -11,7 +11,7 @@ coefficients of f_i on every section it crosses.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,7 +20,6 @@ from itertools import accumulate, count, pairwise
 import numpy as np
 
 from .errors import ConnectionMatrixError, PartitionError, SingularSystemError
-from .partition import _interval_index
 from .sections import FAMILIES, ECSection, end_jets
 
 # largest relative residual a solved transition row may keep
@@ -291,6 +290,10 @@ class TransitionTable:
                                       compare=False)
     _blocks: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    # grid indices of a and b of the table's space: the one-point reads of
+    # the basis see only the intervals between them
+    _domain: tuple[int, int] | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def max_condition(self) -> float:
@@ -309,12 +312,7 @@ class TransitionTable:
         consecutive; step rows are never alive.  Where each row's pieces
         start comes from its spec.  A block is built on first use and cached.
         """
-        if self._blocks is None:
-            specs = [self.specs[i] for i in range(2, self.dim + 1)]
-            self._blocks = ([s.first_piece for s in specs],
-                            [s.first_piece + len(s.pieces) for s in specs],
-                            {})
-        starts, ends, blocks = self._blocks
+        starts, ends, blocks, _ = self._blocks or self._index()
         if j not in blocks:
             lo = 2 + bisect_right(ends, j)
             hi = 2 + bisect_right(starts, j)
@@ -323,20 +321,53 @@ class TransitionTable:
             blocks[j] = (lo, P.reshape(hi - lo, self.sections[j].order))
         return blocks[j]
 
+    def _index(self) -> tuple:
+        """(first interval of each row, one past its last, the block cache,
+        the grid as a list), made on first use."""
+        specs = [self.specs[i] for i in range(2, self.dim + 1)]
+        self._blocks = ([s.first_piece for s in specs],
+                        [s.first_piece + len(s.pieces) for s in specs],
+                        {}, self.grid.tolist())
+        return self._blocks
+
+    def _interval(self, x, side: str, domain: bool) -> tuple[int, float]:
+        """(j, x): the grid interval that _interval_index gives at one point
+        x, found by bisection on the grid as a list, and x as a float.  With
+        domain only the intervals inside [a, b] of the table's space are
+        read, else those of the whole grid."""
+        if type(x) is not float:          # an int, a numpy scalar, a 0-d array
+            x = np.asarray(x, dtype=float)
+            if x.ndim:
+                raise PartitionError("one-point evaluation needs a number, "
+                                     f"not shape {x.shape}")
+            x = float(x)
+        grid = (self._blocks or self._index())[3]
+        first, last = self._domain if domain else (0, len(grid) - 1)
+        if not grid[first] <= x <= grid[last]:
+            raise PartitionError(
+                f"evaluation point outside [{grid[first]}, {grid[last]}]")
+        if side == "right":
+            j = bisect_right(grid, x) - 1
+        elif side == "left":
+            j = bisect_left(grid, x) - 1
+        else:
+            raise PartitionError(f"side must be 'left' or 'right', not {side!r}")
+        return min(max(j, first), last - 1), x
+
     def eval(self, i: int, x: float, r: int = 0, side: str = "right") -> float:
         """D^r f_i(x).  side picks the grid interval when x sits on a break
         point; x may lie anywhere on the grid."""
         if not 1 <= i <= self.dim + 1:
             raise PartitionError(
                 f"transition index {i} out of range 1..{self.dim + 1}")
-        j = _interval_index(self.grid, x, side)
+        j, x = self._interval(x, side, False)
         lo, P = self._block(j)
         k = i - lo
         if k < 0:
             return 1.0 if r == 0 else 0.0
         if k >= len(P):
             return 0.0
-        return float(P[k] @ self.sections[j].eval_all(r, x))
+        return float(np.vecdot(P[k], self.sections[j].eval_all(r, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +457,7 @@ def _assemble_table(space, known: dict) -> TransitionTable:
             reports[i] = rep
     table = TransitionTable(max(s.order for s in space.sections), space.dim,
                             grid, space.sections, rows, reports, specs)
+    table._domain = tuple(grid.searchsorted((space.a, space.b)).tolist())
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("transition table: %d rows solved, %d copied, %d stacked "
                    "solves, %d section ends evaluated, max condition %.3e",

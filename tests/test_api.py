@@ -29,7 +29,7 @@ PUBLIC = [
     "one_section_space", "output", "partition", "partition_from_knots",
     "periodic_to_clamped", "qec_profile", "refine", "remove_knot",
     "sample_basis", "sample_multiorder_basis", "sample_spline",
-    "sample_transitions", "save_descriptor", "sections",
+    "sample_surface", "sample_transitions", "save_descriptor", "sections",
     "space_from_descriptor", "space_to_descriptor",
     "spline_from_descriptor", "spline_to_descriptor", "split_section",
     "surface_from_descriptor", "surface_to_descriptor", "svg_curve_plot",
@@ -103,6 +103,7 @@ PARAMETERS = {
     "sample_basis": "space, xs",
     "sample_multiorder_basis": "space, xs",
     "sample_spline": "spline, xs, r=0",
+    "sample_surface": "surface, us, vs",
     "sample_transitions": "space, xs",
     "save_descriptor": "path, obj",
     "space_from_descriptor": "d, where='space'",

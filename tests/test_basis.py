@@ -10,7 +10,7 @@ from chebspline import (Spline, bernstein_basis, build_extended_partition,
                         eval_spline_derivative, eval_surface, integrate_spline,
                         load_object, make_section, make_spline_space,
                         one_section_space, sample_basis, sample_spline,
-                        sample_transitions)
+                        sample_surface, sample_transitions)
 from chebspline.basis import TensorSurface
 from chebspline.errors import PartitionError
 from conftest import DESCRIPTORS
@@ -133,6 +133,58 @@ def test_samplers_reject_points_that_are_not_1d(sample, xs):
     with pytest.raises(PartitionError,
                        match=re.escape(f"1-D array, not shape {xs.shape}")):
         sample(space, xs)
+
+
+def one_point_calls():
+    """Every one-point entry point, as a function of the point x."""
+    space = polynomial_space([0.0, 0.5, 1.0], [1], 3)
+    element = polynomial_space([0.0, 1.0], [], 3)
+    spline = Spline(space, np.ones((space.dim, 2)))
+    surf = TensorSurface(space, element, np.ones((space.dim, element.dim, 1)))
+    return {
+        "eval_nonzero_basis": lambda x: eval_nonzero_basis(space, x, 1),
+        "eval_bspline": lambda x: eval_bspline(space, 2, x),
+        "eval_spline": lambda x: eval_spline(spline, x),
+        "eval_spline_derivative": lambda x: eval_spline_derivative(spline, 2, x),
+        "eval_surface-u": lambda x: eval_surface(surf, x, 0.5),
+        "eval_surface-v": lambda x: eval_surface(surf, 0.5, x),
+        "bernstein_basis": lambda x: bernstein_basis(element, 1, x),
+        "TransitionTable.eval": lambda x: space.table.eval(3, x, 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(one_point_calls()))
+@pytest.mark.parametrize("x", [np.array([0.3]), np.array([0.3, 0.6])],
+                         ids=["one-element", "two-element"])
+def test_one_point_evaluators_reject_arrays(name, x):
+    call = one_point_calls()[name]
+    with pytest.raises(PartitionError,
+                       match=re.escape(f"needs a number, not shape {x.shape}")):
+        call(x)
+
+
+@pytest.mark.parametrize("name", list(one_point_calls()))
+def test_one_point_evaluators_take_any_number(name):
+    # a float, a numpy scalar, a 0-d array or an int: the same bits
+    call = one_point_calls()[name]
+
+    def bits(x):
+        out = call(x)
+        return [np.asarray(v).tobytes() for v in
+                (out if isinstance(out, tuple) else (out,))]
+
+    assert bits(np.float64(0.3)) == bits(np.array(0.3)) == bits(0.3)
+    assert bits(1) == bits(1.0)
+
+
+def test_sample_surface_is_eval_surface_on_the_grid():
+    surf = load_object(DESCRIPTORS / "rounded_square_surface.json")
+    us = np.linspace(surf.u_space.a, surf.u_space.b, 37)
+    vs = np.linspace(surf.v_space.a, surf.v_space.b, 11)
+    got = sample_surface(surf, us, vs)
+    want = np.array([[eval_surface(surf, u, v) for v in vs] for u in us])
+    assert got.shape == want.shape == (37, 11, surf.net.shape[2])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(surf.net).max()
 
 
 def test_integral_reads_only_the_rows_alive_on_the_bounds(monkeypatch):

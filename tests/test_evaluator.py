@@ -2,13 +2,17 @@
 TransitionTable.eval, on every committed descriptor: single-order,
 multi-order, periodic spaces and both directions of the surface; batched
 derivatives against the scalar path."""
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from chebspline import (PartitionError, Spline, TensorSurface,
                         eval_nonzero_basis, eval_spline_derivative, load_object,
-                        sample_basis, sample_spline, sample_transitions)
+                        make_periodic_space, make_section, sample_basis,
+                        sample_spline, sample_transitions)
+from chebspline.partition import _interval_index
 
 from conftest import DESCRIPTORS
 
@@ -112,3 +116,42 @@ def test_transition_index_out_of_range_raises():
     for i in (0, space.dim + 2):
         with pytest.raises(PartitionError):
             table.eval(i, x)
+
+
+def periodic_trig_space():
+    """Order 4 on a uniform period-4 wrap: the grid runs from -3 to 7 and
+    [a, b] = [0, 4]."""
+    base = [make_section("trigonometric", {"theta": 1.5}, (float(j), j + 1.0), 4)
+            for j in range(4)]
+    return make_periodic_space(4, np.arange(-3.0, 8.0), base, 4.0)
+
+
+@pytest.mark.parametrize("space", CASES + [
+    pytest.param(periodic_trig_space(), id="periodic-trig")])
+def test_point_lookup_is_the_batched_lookup(space):
+    # the interval the one-point path reads (eval_nonzero_basis inside
+    # [a, b], TransitionTable.eval on the whole grid) is _interval_index's
+    table = space.table
+    grid = table.grid
+    rng = np.random.default_rng(36)
+    for domain, bounds in ((True, (space.a, space.b)), (False, ())):
+        lo, hi = bounds or (grid[0], grid[-1])
+        xs = np.concatenate([grid[(grid >= lo) & (grid <= hi)], [lo, hi],
+                             rng.uniform(lo, hi, 64)])
+        for side in ("left", "right"):
+            want = _interval_index(grid, xs, side, *bounds).tolist()
+            assert [table._interval(x, side, domain)[0]
+                    for x in xs.tolist()] == want
+        for bad in (np.nan, np.inf, -np.inf, lo - 0.5, hi + 0.5):
+            with pytest.raises(PartitionError) as batched:
+                _interval_index(grid, np.array([bad]), "right", *bounds)
+            message = re.escape(str(batched.value))
+            with pytest.raises(PartitionError, match=message):
+                table._interval(bad, "right", domain)
+            with pytest.raises(PartitionError, match=message):
+                if domain:
+                    eval_nonzero_basis(space, bad)
+                else:
+                    table.eval(2, bad)
+    with pytest.raises(PartitionError, match="side must be 'left' or 'right'"):
+        table._interval(space.a, "up", True)

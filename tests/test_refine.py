@@ -251,6 +251,37 @@ def test_periodic_closed_curve_is_smooth():
         assert_allclose(lo, hi, atol=1e-10)
 
 
+def mismatched_pair():
+    """The trigonometric curve of trig_m4_open_curve.json and a polynomial
+    space on its partition."""
+    curve = load_object(DESCRIPTORS / "trig_m4_open_curve.json")
+    part = curve.space.partition
+    poly = make_spline_space(part, [make_section("polynomial", None,
+                                                 sec.interval, part.order)
+                                    for sec in curve.space.sections])
+    return poly, curve
+
+
+@pytest.mark.parametrize("call", [
+    lambda space, s: insert_knot(space, s, 0.4),
+    lambda space, s: insert_knot_right(space, s, 0.4),
+    to_bezier_segments,
+    lambda space, s: elevate_order(space, s, 1),
+    lambda space, s: remove_knot(space, s, float(space.partition.grid[1])),
+    periodic_to_clamped,
+], ids=["insert", "insert_right", "bezier", "elevate", "remove", "clamp"])
+def test_refinement_rejects_a_spline_of_another_space(call):
+    # the structure would come from the polynomial space and the
+    # coefficients from the trigonometric curve
+    poly, curve = mismatched_pair()
+    with pytest.raises(RefinementError, match="does not live on the given space"):
+        call(poly, curve)
+    try:
+        call(curve.space, curve)
+    except KnotRemovalError:          # the curve needs the knot
+        pass
+
+
 def test_clamp_is_identity_on_clamped_input():
     space = polynomial_space([0.0, 1.0, 2.0], [1], 4)
     rng = np.random.default_rng(15)
