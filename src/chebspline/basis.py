@@ -2,7 +2,10 @@
 
 The basis is never stored explicitly: every evaluation is a difference of two
 transition functions, N_i = f_i - f_{i+1}, so values, derivatives and
-integrals all come from one representation.
+integrals all come from one representation.  One point reads the block of
+its grid interval (eval_nonzero_basis); many points take one grouped pass
+(_grouped_rows) with one generator evaluation per family and order of
+section, whatever the number of intervals.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from .errors import PartitionError
 from .partition import (ExtendedPartition, _interval_index,
                         build_extended_partition)
-from .sections import ECSection
+from .sections import FAMILIES, ECSection, _jet_rows
 from .transition import (TransitionTable, _row_specs, build_transition_table,
                          validate_connection_matrix)
 
@@ -212,11 +215,11 @@ def integrate_spline(spline: Spline, x0: float, x1: float) -> np.ndarray:
                              space.a, space.b).tolist()
     first = table._block(j0)[0] - 1
     hi, alive = table._block(j1)
-    # the integral I_i of f_i starts from the stretch where f_i is 1 and
-    # adds its pieces left to right
-    I = np.array([x1 - x0 if i == 1 else 0.0 if i == table.dim + 1
-                  else max(0.0, x1 - max(x0, table.rows[i].stop))
-                  for i in range(first, hi + len(alive) + 1)])
+    # the integral I_i of f_i starts from the stretch where f_i is 1,
+    # max(0, x1 - max(x0, stop_i)), and adds its pieces left to right
+    stop = table._index()[4][first - 1:hi + len(alive)]
+    I = x1 - np.where(stop > x0, stop, x0)
+    I = np.where(I > 0.0, I, 0.0)
     for j in range(j0, j1 + 1):
         u, v = max(x0, grid[j]), min(x1, grid[j + 1])
         if u < v:
@@ -225,11 +228,12 @@ def integrate_spline(spline: Spline, x0: float, x1: float) -> np.ndarray:
             vals = sec.integral_all(v) - sec.integral_all(u)
             I[lo - first:lo - first + len(P)] += _row_values(P, vals[:, None])[:, 0]
     w = I[:-1] - I[1:]
-    out = np.zeros(spline.dim_target)
-    # one weight at a time, in row order: a matrix product reorders the sums
-    for k in np.flatnonzero(w):
-        out += w[k] * spline.coefficients[first + k - 1]
-    return out
+    k = np.flatnonzero(w)
+    # one weight at a time, in row order, from 0.0: a running sum (a matrix
+    # product would reorder the sums)
+    terms = np.zeros((len(k) + 1, spline.dim_target))
+    terms[1:] = w[k, None] * spline.coefficients[first + k - 1]
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def bernstein_basis(space: SplineSpace, i: int, x: float, r: int = 0,
@@ -271,26 +275,51 @@ def _row_values(P: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.vecdot(P[:, None, :], np.ascontiguousarray(U.T))
 
 
-def _differences(V: np.ndarray, head: float = 1.0) -> np.ndarray:
-    """N_{lo-1}, .., N_{lo-1+len(V)} from the values V of the rows f_lo, ..
-    alive on an interval: the rows before them read head (1, or 0 for a
-    derivative) and the rows after them 0."""
-    pad = np.zeros((1, V.shape[1]))
-    F = np.concatenate([pad + head, V, pad])
-    return F[:-1] - F[1:]
+def _grouped_rows(space, xs: np.ndarray, r: int = 0) -> tuple:
+    """The batched evaluator: D^r of the rows alive at every point, one
+    generator evaluation and one np.vecdot per group of sections of one
+    family and order (TransitionTable._groups).
 
+    One lookup finds each point's grid interval (with the end-point rule of
+    eval_nonzero_basis) and one stable sort brings the points of a group
+    together, those of one interval next to each other in their given
+    order.  Per group the generators are evaluated at all its points at
+    once, with each point's anchor, scale and parameters (a parameter's
+    powers are taken once per run of equal values, so at most once per
+    interval), and each point's block is applied with one np.vecdot for
+    the group, which rounds as _row_values does.
 
-def _sample_rows(space, xs: np.ndarray, r: int = 0):
-    """The batched evaluator: one lookup groups the points by grid interval
-    (with the end-point rule of eval_nonzero_basis); per interval it yields
-    (point indices, lo, D^r of the rows f_lo, .. alive there)."""
+    Returns (order, keys, lo, alive, F, full) over the sorted points:
+    point order[p] lies in the interval numbered keys[p] and reads the rows
+    f_lo[p] .. alive[p] of them there.  Column p of F holds 1 (0 for a
+    derivative), their values, then exactly 0.0 down to the widest block
+    of the table (a multi-order table has blocks of several sizes); full
+    says that no point has fewer rows alive than that width.
+    """
     table = space.table
+    key, lo, alive, groups = table._groups()
     js = _interval_index(table.grid, xs, "right", space.a, space.b)
-    order = np.argsort(js, kind="stable")
-    found, starts = np.unique(js[order], return_index=True)
-    for j, idx in zip(found, np.split(order, starts[1:])):
-        lo, P = table._block(j)
-        yield idx, lo, _row_values(P, table.sections[j].eval_all(r, xs[idx]))
+    keys = key[js]
+    order = np.argsort(keys, kind="stable")
+    keys, js, x = keys[order], js[order], xs[order]
+    width = max((g.P.shape[1] for g in groups), default=0)
+    F = np.zeros((width + 2, len(xs)))
+    F[0] = 1.0 if r == 0 else 0.0
+    cuts = keys.searchsorted([g.first for g in groups] + [len(key)]).tolist()
+    full = True
+    for g, b, e in zip(groups, cuts, cuts[1:]):
+        if b == e:
+            continue
+        s = keys[b:e] - g.first
+        scale = g.scale[s]
+        blocks = FAMILIES[g.family].build(
+            {k: v[s] for k, v in g.params.items()}, g.order)
+        U = _jet_rows(blocks, scale, r, r, (x[b:e] - g.anchor[s]) * scale)[0]
+        rows = g.P.shape[1]
+        np.vecdot(g.P.take(s, axis=0), np.ascontiguousarray(U.T)[:, None, :],
+                  out=F[1:1 + rows, b:e].T)
+        full = full and rows == width
+    return order, keys, lo[js], alive[js], F, full
 
 
 def _points(xs) -> np.ndarray:
@@ -301,34 +330,73 @@ def _points(xs) -> np.ndarray:
     return xs
 
 
+def _basis_rows(F: np.ndarray) -> np.ndarray:
+    """N_lo-1, N_lo, .. from the columns F of _grouped_rows, in place, row
+    by row: no temporary of F's size."""
+    for c in range(len(F) - 1):
+        F[c] -= F[c + 1]
+    return F[:-1]
+
+
 def sample_basis(space: SplineSpace, xs) -> np.ndarray:
     """Matrix of all basis values at the sample points (len(xs) x dim).
 
-    Takes single-order and multi-order spaces.
+    Takes single-order and multi-order spaces.  One grouped pass
+    (_grouped_rows) gives the rows alive at every point; their differences
+    are N_lo-1, .., N_lo-1+alive, scattered one column of F at a time.
     """
     xs = _points(xs)
+    order, _, lo, alive, F, full = _grouped_rows(space, xs)
+    N = _basis_rows(F)
+    at = order * space.dim + lo - 2
     out = np.zeros((len(xs), space.dim))
-    for idx, lo, V in _sample_rows(space, xs):
-        out[idx, lo - 2:lo - 1 + len(V)] = _differences(V).T
+    for c, row in enumerate(N):
+        keep = slice(None) if full else c <= alive
+        out.reshape(-1)[(at + c)[keep]] = row[keep]
     return out
 
 
 def sample_transitions(space: SplineSpace, xs) -> np.ndarray:
     """Matrix of inner transition values f_2..f_dim at the sample points."""
     xs = _points(xs)
-    out = np.zeros((len(xs), space.dim - 1))
-    for idx, lo, V in _sample_rows(space, xs):
-        out[idx, :lo - 2] = 1.0
-        out[idx, lo - 2:lo - 2 + len(V)] = V.T
+    order, _, lo, alive, F, full = _grouped_rows(space, xs)
+    n = space.dim - 1
+    out = np.empty((len(xs), n))
+    out[order] = np.arange(n) < lo[:, None] - 2     # the rows before lo are 1
+    at = order * n + lo - 2
+    for c, row in enumerate(F[1:-1]):
+        keep = slice(None) if full else c < alive
+        out.reshape(-1)[(at + c)[keep]] = row[keep]
     return out
 
 
 def sample_spline(spline: Spline, xs, r: int = 0) -> np.ndarray:
-    """D^r of the spline at the sample points (len(xs) x d)."""
+    """D^r of the spline at the sample points (len(xs) x d).
+
+    The basis values of the grouped pass (_grouped_rows) are contracted
+    with the coefficients alive at each point with the rounding of one
+    matrix product per grid interval, its points times its coefficients.
+    A point alone in its interval is the product (1, k) @ (k, d) and gets
+    eval_spline_derivative's bytes.  Points that share an interval round
+    as BLAS rounds their product (for d = 1 a matrix-vector product, where
+    that depends on a point's place among them), so a value can differ in
+    the last bits from the same point sampled alone.  The intervals with
+    as many points and rows alive are stacked into one np.matmul.
+    """
     xs = _points(xs)
     c = spline.coefficients
-    head = 1.0 if r == 0 else 0.0
-    out = np.zeros((len(xs), spline.dim_target))
-    for idx, lo, V in _sample_rows(spline.space, xs, r):
-        out[idx] = _differences(V, head).T @ c[lo - 2:lo - 1 + len(V)]
+    order, keys, lo, alive, F, _ = _grouped_rows(spline.space, xs, r)
+    N = _basis_rows(F)
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))   # one per interval
+    # rows alive and number of points of each interval, as one integer
+    kinds = alive[firsts] * (len(xs) + 1) + np.diff(firsts, append=len(xs))
+    out = np.empty((len(xs), spline.dim_target))
+    for kind in np.unique(kinds).tolist():
+        k, count = divmod(kind, len(xs) + 1)
+        at = firsts[kinds == kind]
+        rows = at[:, None] + np.arange(count)
+        # each item laid out as the transposed differences of one interval
+        A = np.ascontiguousarray(N[:k + 1, rows].transpose(1, 0, 2))
+        C = c[(lo[at] - 2)[:, None] + np.arange(k + 1)]
+        out[order[rows]] = A.transpose(0, 2, 1) @ C
     return out

@@ -49,11 +49,35 @@ _HALF_PI = 0.5 * math.pi
 # everywhere (_scalar_pow).
 
 
+# array size from which _pow takes its powers per run of equal values
+_RUNS_FROM = 128
+
+
+def _runs(values: np.ndarray) -> tuple[list, list]:
+    """The runs of equal values of a 1-D array, equal meaning the same bits:
+    (one value per run, as Python floats, the run boundaries 0, .., len)."""
+    bits = values.view(np.int64)
+    cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+    return values[[0, *cuts]].tolist(), [0, *cuts, len(values)]
+
+
 def _pow(p, r: int):
-    """p ** r by Python's float pow, per section for an array p."""
-    if isinstance(p, np.ndarray):
+    """p ** r by Python's float pow, per element of an array p: a parameter
+    given per section, or per point with the points of one section
+    together.  A long array is first cut into runs of equal values, so
+    that pow runs once per run; below _RUNS_FROM elements, finding the
+    runs costs more than the pows.  Every float to the power 0 is 1.0 and
+    to the power 1 itself, so those need no pow."""
+    if r == 0:
+        return 1.0
+    if r == 1:
+        return p
+    if not isinstance(p, np.ndarray):
+        return p ** r
+    if p.size < _RUNS_FROM:
         return np.array([v ** r for v in p.ravel().tolist()]).reshape(p.shape)
-    return p ** r
+    values, bounds = _runs(np.ascontiguousarray(p).ravel())
+    return np.repeat([v ** r for v in values], np.diff(bounds)).reshape(p.shape)
 
 
 def _scalar_pow(base, e: float):
@@ -169,8 +193,10 @@ class Powers:
 
     For a fractional exponent n the derivative of order r > n is unbounded
     at the base point; callers probing high orders must stop at the first
-    non-finite value.  Exponents given one per section are applied one
-    section (one row of t) at a time: an exponent reaches pow as a number.
+    non-finite value.  Exponents given as an array (one per section, or one
+    per point with the points of one section together) are applied one run
+    of equal exponents (rows of t) at a time: an exponent reaches pow as a
+    number.
     """
 
     def __init__(self, n1, n2):
@@ -183,9 +209,13 @@ class Powers:
             for n, mirror in self.exps:
                 base = (1.0 - t) if mirror else t
                 if isinstance(n, np.ndarray):
-                    per_row = [_power_column(v, mirror, base[s], lo, R)
-                               for s, v in enumerate(n.ravel().tolist())]
-                    cols.append([np.array(col) for col in zip(*per_row)])
+                    col = [np.empty(base.shape) for _ in range(lo, R + 1)]
+                    values, bounds = _runs(n.ravel())
+                    for v, i, k in zip(values, bounds, bounds[1:]):
+                        for out, val in zip(col, _power_column(
+                                v, mirror, base[i:k], lo, R)):
+                            out[i:k] = val
+                    cols.append(col)
                 else:
                     cols.append(_power_column(n, mirror, base, lo, R))
         return cols

@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, count, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,6 +277,18 @@ class TransitionRow:
     pieces: tuple[np.ndarray, ...]
 
 
+class _Group(NamedTuple):
+    """The intervals inside [a, b] whose sections share a family and an
+    order, as the batched reads see them."""
+    family: str
+    order: int
+    first: int                     # the key of its first interval
+    P: np.ndarray                  # the blocks P_j stacked
+    anchor: np.ndarray             # one value per interval, as scale and
+    scale: np.ndarray              # each parameter
+    params: dict[str, np.ndarray]
+
+
 @dataclass
 class TransitionTable:
     order: int
@@ -294,6 +307,8 @@ class TransitionTable:
     # the basis see only the intervals between them
     _domain: tuple[int, int] | None = field(default=None, init=False,
                                             repr=False, compare=False)
+    _plan: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def max_condition(self) -> float:
@@ -312,7 +327,7 @@ class TransitionTable:
         consecutive; step rows are never alive.  Where each row's pieces
         start comes from its spec.  A block is built on first use and cached.
         """
-        starts, ends, blocks, _ = self._blocks or self._index()
+        starts, ends, blocks, *_ = self._blocks or self._index()
         if j not in blocks:
             lo = 2 + bisect_right(ends, j)
             hi = 2 + bisect_right(starts, j)
@@ -323,12 +338,53 @@ class TransitionTable:
 
     def _index(self) -> tuple:
         """(first interval of each row, one past its last, the block cache,
-        the grid as a list), made on first use."""
-        specs = [self.specs[i] for i in range(2, self.dim + 1)]
-        self._blocks = ([s.first_piece for s in specs],
-                        [s.first_piece + len(s.pieces) for s in specs],
-                        {}, self.grid.tolist())
+        the grid as a list, the support end of f_1 .. f_dim+1 with -inf for
+        f_1 and inf for f_dim+1), made on first use."""
+        if self._blocks is None:
+            specs = [self.specs[i] for i in range(2, self.dim + 1)]
+            self._blocks = ([s.first_piece for s in specs],
+                            [s.first_piece + len(s.pieces) for s in specs],
+                            {}, self.grid.tolist(),
+                            np.array([-np.inf, *(s.stop for s in specs), np.inf]))
         return self._blocks
+
+    def _groups(self) -> tuple:
+        """The plan of the batched reads (basis._grouped_rows), made on
+        first use: the intervals inside [a, b] of the table's space, grouped
+        by the family and order of their sections.
+
+        Returns (key, lo, alive, groups).  key[j] numbers the intervals so
+        that those of one group are consecutive, in grid order; lo[j] and
+        alive[j] are the first row alive on interval j and the number of
+        rows alive; groups holds one _Group per family and order.
+        """
+        if self._plan is None:
+            first, last = self._domain
+            members: dict[tuple, list[int]] = {}
+            for j in range(first, last):
+                sec = self.sections[j]
+                members.setdefault((sec.family, sec.order), []).append(j)
+            size = len(self.grid) - 1
+            key, lo, alive = (np.zeros(size, dtype=np.intp) for _ in range(3))
+            groups, start = [], 0
+            for (family, order), js in members.items():
+                blocks = [self._block(j) for j in js]
+                lo[js] = [b[0] for b in blocks]
+                # m B-splines are nonzero on an interval of an order-m
+                # section, so m - 1 rows are alive on each: one shape
+                P = np.stack([b[1] for b in blocks])
+                alive[js] = P.shape[1]
+                key[js] = np.arange(start, start + len(js))
+                secs = [self.sections[j] for j in js]
+                params = {k: np.array([sec.params[k] for sec in secs], dtype=float)
+                          for k in FAMILIES[family].param_names}
+                groups.append(_Group(family, order, start, P,
+                                     np.array([sec.anchor for sec in secs]),
+                                     np.array([sec.scale for sec in secs]),
+                                     params))
+                start += len(js)
+            self._plan = key, lo, alive, groups
+        return self._plan
 
     def _interval(self, x, side: str, domain: bool) -> tuple[int, float]:
         """(j, x): the grid interval that _interval_index gives at one point
