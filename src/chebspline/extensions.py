@@ -15,7 +15,7 @@ the right side.  They need no code of their own: make_spline_space attaches
 them to break points, the row solver (transition._solve_rows) applies them,
 and validate_connection_matrix checks them.  Insertion, removal and
 periodic_to_clamped derive every refined space in one helper
-(refine._refined), which keeps each matrix on its break point, found by
+(refine._derived), which keeps each matrix on its break point, found by
 value in the refined grid; an insertion on that point shrinks it by one
 row and column.
 """

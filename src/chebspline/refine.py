@@ -11,7 +11,7 @@ least-squares inverse.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,8 @@ from .basis import (Spline, SplineSpace, _row_values, make_spline_space,
 from .errors import KnotRemovalError, RefinementError
 from .partition import build_extended_partition, partition_from_knots
 from .sections import ECSection, make_section, merge_sections, split_section
-from .transition import TransitionTable, _assemble_table, _end_order
+from .transition import (TransitionTable, _assemble_table, _end_order,
+                         _solve_chain)
 
 DEVIATION_SAMPLES = 1000    # uniform samples behind max_deviation
 REMOVAL_TOL = 1e-9          # relative residual above which a knot is needed
@@ -41,9 +42,14 @@ class RefinementStep:
 
 
 def _snap_to_grid(grid: np.ndarray, that: float) -> tuple[int | None, float]:
-    hits = np.nonzero(np.isclose(grid, that, rtol=0, atol=1e-12 * max(1.0, abs(that))))[0]
+    """(j, grid[j]) for the first grid point within 1e-12 * max(1, |that|)
+    of that, else (None, that).  Only the grid points within twice that
+    distance, found by searchsorted, are compared."""
+    atol = 1e-12 * max(1.0, abs(that))
+    lo, hi = grid.searchsorted((that - 2 * atol, that + 2 * atol))
+    hits = np.flatnonzero(np.isclose(grid[lo:hi], that, rtol=0, atol=atol))
     if len(hits):
-        j = int(hits[0])
+        j = int(lo + hits[0])
         return j, float(grid[j])
     return None, that
 
@@ -53,7 +59,8 @@ def refine_space_structure(space: SplineSpace, that: float,
                            ) -> tuple[SplineSpace, int, int]:
     """Insert a knot into the space structure only (no coefficients).
 
-    Returns (new space, with its table, scan index ell, multiplicity after).
+    Returns (new space without its table, scan index ell, multiplicity
+    after); _refined gives a chain of such spaces their tables.
     Existing connection matrices shrink by one row/column when the insertion
     lands on their break point; fresh break points get no matrix (identity).
     """
@@ -80,29 +87,57 @@ def refine_space_structure(space: SplineSpace, that: float,
     k = m - mult     # rows of a matrix at that; none once that reaches m
     conn = {g: M if g != hit else np.asarray(M, dtype=float)[:k, :k]
             for g, M in space.connections.items() if g != hit or k}
-    return (_refined(space, np.insert(knots, ell, that), grid, sections, conn),
+    return (_derived(space, np.insert(knots, ell, that), grid, sections, conn),
             ell, mult)
 
 
-def _refined(space: SplineSpace, knots: np.ndarray, grid: np.ndarray,
+def _derived(space: SplineSpace, knots: np.ndarray, grid: np.ndarray,
              sections: list[ECSection], connections: dict) -> SplineSpace:
-    """The space on knots and grid with these sections, derived from space.
+    """The space on knots and grid with these sections, derived from space,
+    without its table.
 
     Each matrix of connections (keyed by space's grid indices) stays on its
     break point, found by value in grid; one that is no longer an inner
-    point of grid is dropped.  The table shares every row of space's table
-    whose Hermite system is unchanged, with its report; the others are
-    solved.
+    point of grid is dropped.
     """
     inner = {x: g for g, x in enumerate(grid.tolist()[1:-1], 1)}
     old = space.partition.grid.tolist()
-    new = SplineSpace(partition_from_knots(space.order, knots, grid=grid),
-                      sections, {inner[old[g]]: M for g, M in connections.items()
-                                 if old[g] in inner})
+    return SplineSpace(partition_from_knots(space.order, knots, grid=grid),
+                       sections, {inner[old[g]]: M for g, M in connections.items()
+                                  if old[g] in inner})
+
+
+def _refined(space: SplineSpace, links: list[SplineSpace]
+             ) -> Iterator[SplineSpace]:
+    """The links of a refinement chain, in order, each with its table.
+
+    links[0] is derived from space and each later link from the one before
+    it.  Every row of every link whose Hermite system space's table lacks
+    is solved up front, each system once, in one _solve_chain call; each
+    link's table is then assembled from space's rows and those when the
+    chain reaches it, so it shares every row of space's table whose system
+    is unchanged, with its report.  A link whose own rows fail raises, and
+    a row only a later link needs never fails an earlier one.
+
+    The jets of one solve are keyed by grid index, so a chain of more than
+    one link must keep one grid and its sections throughout.
+    """
+    if not links:
+        return
+    first = links[0]
+    if any(not np.array_equal(link.partition.grid, first.partition.grid)
+           or any(s is not t for s, t in zip(link.sections, first.sections))
+           for link in links[1:]):
+        raise RefinementError("the links of a refinement chain must keep "
+                              "one grid and its sections")
+    derived = [link._row_specs() for link in links]
     table = space.table
-    new._table = _assemble_table(new, {spec.key: (table.rows[i], table.reports.get(i))
-                                       for i, spec in table.specs.items()})
-    return new
+    solved = _solve_chain([specs for _, specs in derived],
+                          {spec.key: (table.rows[i], table.reports.get(i))
+                           for i, spec in table.specs.items()})
+    for link, (grid, specs) in zip(links, derived):
+        link._table = _assemble_table(link, grid, specs, solved)
+        yield link
 
 
 def _compute_alphas(old_table: TransitionTable, new_table: TransitionTable,
@@ -161,13 +196,23 @@ def _same_space(space: SplineSpace, spline: Spline) -> None:
                               "pass spline.space")
 
 
-def _insert(space: SplineSpace, spline: Spline, that: float,
-            strategy: str, formula: str) -> tuple[RefinementStep, Spline]:
-    new_space, ell, mult = refine_space_structure(space, that, strategy)
-    alphas = _compute_alphas(space.table, new_space.table, that, ell, mult,
-                             formula)
-    step = RefinementStep(that, ell, mult, alphas, new_space)
-    return step, Spline(new_space, _apply_alphas(alphas, spline.coefficients))
+def _insert(space: SplineSpace, spline: Spline, points, strategy: str
+            ) -> tuple[RefinementStep | None, Spline]:
+    """Insert one knot after the other at each (that, formula) of points,
+    as one refinement chain: the step of the last insertion (None for no
+    points) and the refined spline."""
+    links, metas, cur = [], [], space
+    for that, formula in points:
+        cur, ell, mult = refine_space_structure(cur, that, strategy)
+        links.append(cur)
+        metas.append((that, ell, mult, formula))
+    prev, step, c = space, None, spline.coefficients
+    for new, (that, ell, mult, formula) in zip(_refined(space, links), metas):
+        alphas = _compute_alphas(prev.table, new.table, that, ell, mult,
+                                 formula)
+        step = RefinementStep(that, ell, mult, alphas, new)
+        prev, c = new, _apply_alphas(alphas, c)
+    return step, Spline(prev, c)
 
 
 def insert_knot(space: SplineSpace, spline: Spline, that: float,
@@ -176,7 +221,7 @@ def insert_knot(space: SplineSpace, spline: Spline, that: float,
     _same_space(space, spline)
     if not space.a <= that <= space.b:
         raise RefinementError(f"{that} outside [{space.a}, {space.b}]")
-    return _insert(space, spline, that, strategy, "left")
+    return _insert(space, spline, [(that, "left")], strategy)
 
 
 def insert_knot_right(space: SplineSpace, spline: Spline, that: float
@@ -189,7 +234,7 @@ def insert_knot_right(space: SplineSpace, spline: Spline, that: float
     _same_space(space, spline)
     if that < space.a:
         raise RefinementError(f"{that} below the domain start {space.a}")
-    return _insert(space, spline, that, "restrict", "right")
+    return _insert(space, spline, [(that, "right")], "restrict")
 
 
 def max_deviation(s1: Spline, s2: Spline) -> float:
@@ -228,15 +273,15 @@ def to_bezier_segments(space: SplineSpace, spline: Spline) -> BezierSegments:
         raise RefinementError(
             f"Bezier extraction needs {m} knots at a and at b; convert a "
             f"wrap-around spline with periodic_to_clamped first")
-    cur_space, cur = space, spline
-    for x in part.grid[1:-1]:          # clamped: every one lies in (a, b)
-        while cur_space.partition.multiplicity_of(float(x)) < m - 1:
-            step, cur = insert_knot(cur_space, cur, float(x))
-            cur_space = step.space
+    # clamped: every inner grid point lies in (a, b)
+    _, cur = _insert(space, spline,
+                     [(float(x), "left") for x in part.grid[1:-1]
+                      for _ in range(m - 1 - part.multiplicity_of(float(x)))],
+                     "restrict")
     c = cur.coefficients
     ctrls = tuple(c[j * (m - 1):j * (m - 1) + m].copy()
-                  for j in range(len(cur_space.sections)))
-    return BezierSegments(cur_space, cur, ctrls)
+                  for j in range(len(cur.space.sections)))
+    return BezierSegments(cur.space, cur, ctrls)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +449,13 @@ def elevate_order(space: SplineSpace, spline: Spline, r: int,
             raise RefinementError(
                 f"segment interface mismatch {gap:.3e} while gluing")
         coeffs.append(elevated[j][1:])
-    # knot removal back to original multiplicity + r
-    cur_space, cur = glued_space, Spline(glued_space, np.vstack(coeffs))
-    residuals = []
-    for x in space.partition.grid[1:-1]:
-        target_mult = space.partition.multiplicity_of(float(x)) + r
-        while cur_space.partition.multiplicity_of(float(x)) > target_mult:
-            cur_space, cur, resid = remove_knot(cur_space, cur, float(x))
-            residuals.append(resid)
+    # knot removal from m+r-1 back to the original multiplicity + r, which
+    # is at least 1: no section merges, so the chain keeps the glued grid
+    part = space.partition
+    _, cur, residuals = _remove(
+        glued_space, Spline(glued_space, np.vstack(coeffs)),
+        [float(x) for x in part.grid[1:-1]
+         for _ in range(m - 1 - part.multiplicity_of(float(x)))])
     step = ElevationStep(tuple(gammas),
                          None if r == 1 else tuple(deltas),
                          tuple(targets), tuple(residuals))
@@ -433,6 +477,15 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float
     the break point stays in the grid with multiplicity zero.
     """
     _same_space(space, spline)
+    coarse, out, [resid] = _remove(space, spline, [that])
+    return coarse, out, resid
+
+
+def _removal_structure(space: SplineSpace, that: float
+                       ) -> tuple[SplineSpace, float, int, int]:
+    """Remove one copy of the knot at that from the space structure only:
+    (coarse space without its table, that snapped to the grid, scan index
+    ell and multiplicity mult of the insertion that undoes it)."""
     part = space.partition
     hit, that = _snap_to_grid(part.grid, that)
     if hit is None or not (space.a < that < space.b):
@@ -454,21 +507,37 @@ def remove_knot(space: SplineSpace, spline: Spline, that: float
             sections[hit - 1:hit + 1] = [merged]
             grid = np.delete(grid, hit)
     knots = np.delete(part.knots, part.knots.searchsorted(that))
-    coarse_space = _refined(space, knots, grid, sections, space.connections)
     ell = int(np.searchsorted(knots, that, side="right"))
-    alphas = _compute_alphas(coarse_space.table, space.table, that, ell, mult,
-                             "left")
-    B = _apply_alphas(alphas, np.eye(coarse_space.dim))
-    chat = spline.coefficients
-    c, *_ = np.linalg.lstsq(B, chat, rcond=None)
-    resid = float(np.abs(B @ c - chat).max())
-    scale = max(1.0, float(np.abs(chat).max()))
-    if resid > REMOVAL_TOL * scale:
-        raise KnotRemovalError(
-            f"removing {that} leaves residual {resid:.3e} > "
-            f"{REMOVAL_TOL:.1e}*{scale:.3g}; the spline needs this knot",
-            residual=resid)
-    return coarse_space, Spline(coarse_space, c), resid
+    return (_derived(space, knots, grid, sections, space.connections), that,
+            ell, mult)
+
+
+def _remove(space: SplineSpace, spline: Spline, points
+            ) -> tuple[SplineSpace, Spline, list[float]]:
+    """Remove one knot after the other at each of points, as one refinement
+    chain: the coarse space and spline and the residual of each removal.
+    The first removal whose residual passes REMOVAL_TOL raises."""
+    links, metas, cur = [], [], space
+    for that in points:
+        cur, *meta = _removal_structure(cur, that)
+        links.append(cur)
+        metas.append(meta)
+    fine, chat, residuals = space, spline.coefficients, []
+    for coarse, (that, ell, mult) in zip(_refined(space, links), metas):
+        alphas = _compute_alphas(coarse.table, fine.table, that, ell, mult,
+                                 "left")
+        B = _apply_alphas(alphas, np.eye(coarse.dim))
+        c, *_ = np.linalg.lstsq(B, chat, rcond=None)
+        resid = float(np.abs(B @ c - chat).max())
+        scale = max(1.0, float(np.abs(chat).max()))
+        if resid > REMOVAL_TOL * scale:
+            raise KnotRemovalError(
+                f"removing {that} leaves residual {resid:.3e} > "
+                f"{REMOVAL_TOL:.1e}*{scale:.3g}; the spline needs this knot",
+                residual=resid)
+        residuals.append(resid)
+        fine, chat = coarse, c
+    return fine, Spline(fine, chat), residuals
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +602,17 @@ def periodic_to_clamped(space: SplineSpace, spline: Spline
     a, b = part.a, part.b
     if part.multiplicity_of(a) == m and part.multiplicity_of(b) == m:
         return space, spline
-    cur_space, cur = space, spline
-    while cur_space.partition.multiplicity_of(a) < m:
-        step, cur = _insert(cur_space, cur, a, "restrict", "left")
-        cur_space = step.space
-    while cur_space.partition.multiplicity_of(b) < m:
-        step, cur = _insert(cur_space, cur, b, "restrict", "right")
-        cur_space = step.space
+    _, cur = _insert(space, spline,
+                     [(a, "left")] * (m - part.multiplicity_of(a))
+                     + [(b, "right")] * (m - part.multiplicity_of(b)),
+                     "restrict")
     # the basis functions kept are those whose support [t_i, t_{i+m}]
     # meets (a, b), and the sections those of [a, b]
+    cur_space = cur.space
     knots, grid = cur_space.partition.knots, cur_space.partition.grid
     first, last = knots.searchsorted(a, "right") - m, knots.searchsorted(b)
     lo, hi = grid.searchsorted(a), grid.searchsorted(b, "right")
-    clamped = _refined(cur_space, knots[first:last + m], grid[lo:hi],
-                       cur_space.sections[lo:hi - 1], cur_space.connections)
+    [clamped] = _refined(cur_space, [_derived(
+        cur_space, knots[first:last + m], grid[lo:hi],
+        cur_space.sections[lo:hi - 1], cur_space.connections)])
     return clamped, Spline(clamped, cur.coefficients[first:last])

@@ -617,8 +617,19 @@ def make_section(family: str, params: dict | None, interval: Sequence[float],
     elif anchor is None or scale is None:
         raise InvalidSectionError("anchor and scale must be given together")
     fam.validate(params, order, (x1 - x0) * scale)
-    return ECSection(family, params, (x0, x1), order, local_map,
-                     float(anchor), float(scale))
+    anchor, scale = float(anchor), float(scale)
+    if family == "variable-degree" and not all(
+            float(params[n]).is_integer() for n in ("n1", "n2")):
+        # (1-t)**n and t**n with a fractional n are NaN past t = 1 and
+        # below t = 0: the local interval, as evaluation computes it, must
+        # stay in [0, 1]
+        t0, t1 = (x0 - anchor) * scale, (x1 - anchor) * scale
+        if not (0.0 <= t0 and t1 <= 1.0):
+            raise InvalidSectionError(
+                f"variable-degree section on [{x0}, {x1}] with a fractional "
+                f"exponent (n1={params['n1']}, n2={params['n2']}) has local "
+                f"interval [{t0}, {t1}], which leaves [0, 1]")
+    return ECSection(family, params, (x0, x1), order, local_map, anchor, scale)
 
 
 def split_section(section: ECSection, xhat: float,

@@ -170,18 +170,20 @@ def _equilibrated_solve(A: np.ndarray, C: np.ndarray) -> tuple:
     return cond, errors, B, rel
 
 
-def _solve_rows(specs: Sequence[RowSpec]
-                ) -> tuple[list[tuple[TransitionRow, RowReport | None]], int, int]:
-    """Solve the rows of one table: (row, report) per spec in order, the
-    number of stacked solves and the number of section ends evaluated.
+def _solve_rows(specs: Sequence[RowSpec]) -> tuple[list, int, int]:
+    """Solve the rows of one table or of one chain of tables: per spec in
+    order, its (row, report) or the SingularSystemError it fails with, as
+    it would alone; then the number of stacked solves and the number of
+    section ends evaluated.  Nothing is raised: _assemble_table raises the
+    first error of a table's own rows.
 
-    The specs share one grid, so the conditions at a section end come from
-    one jet.  Both ends of every section a row crosses are evaluated up
-    front, in one end_jets call, and laid end to end in grid order.  Rows
-    of one shape share one _layout, and the rows of one size are stacked
-    _STACK_ROWS at a time: each stack is filled with one gather per shape
-    in it, then equilibrated, solved and checked at once.  Errors are
-    raised in spec order, the first failing row's as it would be alone.
+    The specs share one grid and one section per grid interval, so the
+    conditions at a section end come from one jet, keyed by grid index.
+    Both ends of every section a row crosses are evaluated up front, in one
+    end_jets call, and laid end to end in grid order.  Rows of one shape
+    share one _layout, and the rows of one size are stacked _STACK_ROWS at
+    a time: each stack is filled with one gather per shape in it, then
+    equilibrated, solved and checked at once.
     """
     ends = dict(sorted({spec.first_piece + k: (sec, spec.points[k:k + 2])
                         for spec in specs for k, sec in enumerate(spec.pieces)}
@@ -204,7 +206,7 @@ def _solve_rows(specs: Sequence[RowSpec]
                  *[s.order for s in spec.pieces])
         if shape not in groups:
             rows, n = spec.left + sum(spec.interior) + spec.right, sum(shape[3:])
-            if rows != n:    # raised below, once earlier rows are solved
+            if rows != n:
                 results[g] = SingularSystemError(
                     f"transition system for f_{spec.index} is not square: "
                     f"{rows} conditions for {n} unknowns", index=spec.index)
@@ -242,23 +244,27 @@ def _solve_rows(specs: Sequence[RowSpec]
             out.append((TransitionRow("step", spec.start, spec.stop, ()), None))
             continue
         if isinstance(results[g], Exception):
-            raise results[g]
+            out.append(results[g])
+            continue
         n, cond, error, coeffs, rel = results[g]
         index = spec.index
         if error is not None:
-            raise SingularSystemError(
+            exc = SingularSystemError(
                 f"transition system for f_{index} is singular "
                 f"(condition estimate {cond:.3e}); the space does not admit a "
                 f"numerically usable B-spline basis", index=index,
-                condition=cond) from error
-        if not rel <= RESIDUAL_TOL:      # NaN fails too
-            raise SingularSystemError(
+                condition=cond)
+            exc.__cause__ = error
+            out.append(exc)
+        elif not rel <= RESIDUAL_TOL:      # NaN fails too
+            out.append(SingularSystemError(
                 f"transition system for f_{index} solved with relative residual "
                 f"{rel:.3e} > {RESIDUAL_TOL:.1e} (condition {cond:.3e}); the "
                 f"space is too ill conditioned for a usable B-spline basis",
-                index=index, condition=cond, residual=rel)
-        out.append((TransitionRow("ramp", spec.start, spec.stop, coeffs),
-                    RowReport(n, cond, rel)))
+                index=index, condition=cond, residual=rel))
+        else:
+            out.append((TransitionRow("ramp", spec.start, spec.stop, coeffs),
+                        RowReport(n, cond, rel)))
     return out, stacks, 2 * len(jets)
 
 
@@ -495,37 +501,55 @@ def _row_specs(grid: np.ndarray, sections: list[ECSection], starts, ends,
     return specs
 
 
-def _assemble_table(space, known: dict) -> TransitionTable:
-    """The table of a single- or multi-order space, which keeps the spec of
-    each row.  A row whose spec key is in known (key -> (row, report) of
-    another table) takes that table's row and report objects as they are;
-    the others are solved together by _solve_rows."""
-    grid, specs = space._row_specs()
-    hits = {i: known.get(spec.key) for i, spec in specs.items()}
-    todo = [spec for i, spec in specs.items() if hits[i] is None]
-    solved, stacks, ends = _solve_rows(todo)
-    fresh = iter(solved)
+def _solve_chain(tables: Sequence[dict[int, RowSpec]], known: dict) -> dict:
+    """key -> (row, report), or the error that row fails with, for every
+    spec of tables: known's pair (key -> (row, report) of another table)
+    where it holds the key, the others solved together, each key once, in
+    one _solve_rows call.  The specs solved must share one grid and its
+    sections.  Logs one DEBUG record for the call."""
+    todo: dict[tuple, RowSpec] = {}
+    for specs in tables:
+        for spec in specs.values():
+            if spec.key not in known:
+                todo.setdefault(spec.key, spec)
+    outcomes, stacks, ends = _solve_rows(list(todo.values()))
+    if _log.isEnabledFor(logging.DEBUG):
+        reports = [out[1] for out in outcomes
+                   if isinstance(out, tuple) and out[1] is not None]
+        _log.debug("transition rows of %d tables: %d solved, %d copied, %d "
+                   "stacked solves, %d section ends evaluated, max condition "
+                   "%.3e", len(tables), len(reports),
+                   sum(map(len, tables)) - len(todo), stacks, ends,
+                   max((rep.condition for rep in reports), default=1.0))
+    return known | dict(zip(todo, outcomes))
+
+
+def _assemble_table(space, grid: np.ndarray, specs: dict[int, RowSpec],
+                    solved: dict) -> TransitionTable:
+    """The table of a single- or multi-order space from its grid and row
+    specs, which it keeps: each row takes the row and report objects that
+    solved (from _solve_chain) holds for its spec key.  The first of its
+    rows, in spec order, that failed to solve raises its error."""
     rows: dict[int, TransitionRow] = {}
     reports: dict[int, RowReport] = {}
-    for i in specs:
-        rows[i], rep = hits[i] or next(fresh)
+    for i, spec in specs.items():
+        out = solved[spec.key]
+        if isinstance(out, Exception):
+            raise out
+        rows[i], rep = out
         if rep is not None:
             reports[i] = rep
     table = TransitionTable(max(s.order for s in space.sections), space.dim,
                             grid, space.sections, rows, reports, specs)
     table._domain = tuple(grid.searchsorted((space.a, space.b)).tolist())
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("transition table: %d rows solved, %d copied, %d stacked "
-                   "solves, %d section ends evaluated, max condition %.3e",
-                   sum(rep is not None for _, rep in solved),
-                   len(specs) - len(todo), stacks, ends, table.max_condition)
     return table
 
 
 def build_transition_table(space) -> TransitionTable:
     """Solve every inner transition function of a SplineSpace or a
     MultiOrderSpace; each feeds the one row rule through _row_specs."""
-    return _assemble_table(space, {})
+    grid, specs = space._row_specs()
+    return _assemble_table(space, grid, specs, _solve_chain([specs], {}))
 
 
 def detect_vanishing_order(table: TransitionTable, i: int,

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chebspline import InvalidSectionError, make_section, split_section
+from chebspline import (InvalidSectionError, load_object, make_section,
+                        split_section)
+from chebspline.refine import _default_target
 from chebspline.sections import (FAMILIES, antiderivative_generator, end_jets,
                                  eval_generator)
+from conftest import DESCRIPTORS
 
 
 def test_make_trig_section_shift_map():
@@ -374,6 +377,38 @@ def test_degenerate_variable_degree_rejected():
     with pytest.raises(InvalidSectionError, match="dependent"):
         make_section("variable-degree", {"n1": 4, "n2": 4}, (0.0, 1.0), 6)
     make_section("variable-degree", {"n1": 4, "n2": 5}, (0.0, 1.0), 6)
+
+
+def test_fractional_variable_degree_section_must_stay_in_the_unit_interval():
+    # continued across a multiplicity-0 break point with its neighbour's
+    # anchor and scale, the section reads t in [1, 1.64], where (1-t)**5.5
+    # is NaN: that section is refused, a whole exponent is not
+    left = make_section("variable-degree", {"n1": 5.5, "n2": 7}, (0.0, 1.0), 4)
+    with pytest.raises(InvalidSectionError, match="leaves"):
+        make_section("variable-degree", {"n1": 5.5, "n2": 7}, (1.0, 1.64), 4,
+                     anchor=left.anchor, scale=left.scale)
+    with pytest.raises(InvalidSectionError, match="leaves"):
+        make_section("variable-degree", {"n1": 5, "n2": 7.5}, (-0.2, 0.5), 4,
+                     anchor=0.0, scale=1.0)
+    make_section("variable-degree", {"n1": 5, "n2": 7}, (1.0, 1.64), 4,
+                 anchor=left.anchor, scale=left.scale)
+
+
+def test_library_made_variable_degree_sections_stay_in_the_unit_interval():
+    # the normalized map, restrict splits and their elevation targets, and
+    # the committed descriptors
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        x0 = rng.uniform(-5.0, 5.0)
+        x1 = x0 + rng.uniform(1e-3, 3.0)
+        n1, n2 = rng.uniform(4.0, 9.0, 2)      # fractional, targets exist
+        sec = make_section("variable-degree", {"n1": n1, "n2": n2}, (x0, x1), 4)
+        cut = rng.uniform(x0, x1)
+        for half in split_section(sec, cut):
+            for r in (1, 2):
+                _default_target(half, r)
+    for path in sorted(DESCRIPTORS.glob("*.json")):
+        load_object(path)
 
 
 def test_antiderivative_of_an_array():

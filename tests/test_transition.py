@@ -384,6 +384,16 @@ def non_square(spec):
     return dataclasses.replace(spec, left=spec.left + 1)
 
 
+def solve_raising(specs):
+    """transition._solve_rows, raising the first failing row's error in
+    spec order, as _assemble_table raises a table's."""
+    outcomes, stacks, ends = transition._solve_rows(specs)
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes, stacks, ends
+
+
 def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
     # the rows across one section are singular; a non-square row after
     # them does not raise first
@@ -397,9 +407,9 @@ def test_singular_row_in_a_stack_raises_as_alone(monkeypatch):
     specs[hit[-1] + 1] = non_square(specs[hit[-1] + 1])
     zero_generator(monkeypatch, sec)
     with pytest.raises(SingularSystemError) as stacked:
-        transition._solve_rows(specs)
+        solve_raising(specs)
     with pytest.raises(SingularSystemError) as alone:
-        transition._solve_rows([bad])
+        solve_raising([bad])
     for e in (stacked.value, alone.value):
         assert e.index == bad.index and "is singular" in str(e)
     assert str(stacked.value) == str(alone.value)
@@ -419,7 +429,7 @@ def test_assembly_error_is_raised_after_the_earlier_rows(monkeypatch):
     specs[bad] = non_square(specs[bad])
     zero_generator(monkeypatch, sec)
     with pytest.raises(SingularSystemError, match="not square") as err:
-        transition._solve_rows(specs)
+        solve_raising(specs)
     assert err.value.index == specs[bad].index
 
 
@@ -435,9 +445,9 @@ def test_non_square_row_in_a_stack_of_square_ones_raises_as_alone(change):
     specs[g] = dataclasses.replace(
         specs[g], **{k: getattr(specs[g], k) + d for k, d in change.items()})
     with pytest.raises(SingularSystemError, match="not square") as stacked:
-        transition._solve_rows(specs)
+        solve_raising(specs)
     with pytest.raises(SingularSystemError, match="not square") as alone:
-        transition._solve_rows([specs[g]])
+        solve_raising([specs[g]])
     assert stacked.value.index == specs[g].index
     assert str(stacked.value) == str(alone.value)
 
@@ -448,7 +458,7 @@ def test_non_square_system_raises():
     spec = specs[4]
     bad = non_square(spec)
     with pytest.raises(SingularSystemError, match="not square") as err:
-        transition._solve_rows([bad])
+        solve_raising([bad])
     assert err.value.index == 4
 
 
@@ -508,10 +518,10 @@ def test_table_assembly_logs_one_debug_record(caplog):
         for r in caplog.records if r.name == "chebspline"]
     ramps = sum(row.kind == "ramp" for row in table.rows.values())
     sizes = {rep.size for rep in table.reports.values()}
-    # rows solved, rows copied, stacked solves (one per row size here: no
-    # size has more than _STACK_ROWS rows), section ends evaluated, max
-    # condition
-    assert fresh == [ramps, 0, len(sizes), 2 * len(table.sections),
+    # tables, rows solved, rows copied, stacked solves (one per row size
+    # here: no size has more than _STACK_ROWS rows), section ends
+    # evaluated, max condition
+    assert fresh == [1, ramps, 0, len(sizes), 2 * len(table.sections),
                      float(f"{table.max_condition:.3e}")]
-    assert 0 < refined[0] < ramps and refined[1] > 0
-    assert refined[3] < 2 * len(table.sections)
+    assert refined[0] == 1 and 0 < refined[1] < ramps and refined[2] > 0
+    assert refined[4] < 2 * len(table.sections)
